@@ -106,7 +106,8 @@ AllocatorReport ResourceAllocator::improve_state_impl(
     }
     if (!trace.truncated) {
       PROF_ZONE("alloc.server_power");
-      trace.delta_power = adjust_server_power(state, options_);
+      trace.delta_power =
+          adjust_server_power(state, options_, eval, &trace.power);
       state.debug_check_invariants();
       trace.truncated = over_budget();
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "alloc/options.h"
+#include "alloc/server_power.h"
 #include "model/alloc_state.h"
 #include "model/allocation.h"
 #include "model/evaluator.h"
@@ -27,6 +28,8 @@ struct RoundTrace {
   double delta_power = 0.0;
   double delta_reassign = 0.0;
   double profit_after = 0.0;
+  /// Work done by this round's TurnON/TurnOFF sweep.
+  PowerCounters power;
   /// True when the epoch deadline (options.time_budget_ms) expired mid-
   /// round: the remaining passes of this round were skipped and the loop
   /// stopped here.

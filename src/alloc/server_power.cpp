@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <utility>
@@ -66,11 +67,55 @@ std::vector<ClientId> degraded_clients(const Allocation& alloc, ClusterId k,
   return out;
 }
 
+/// One cluster's TurnON and TurnOFF passes, run on a trial extracted from
+/// the frozen state.
+struct ClusterRun {
+  std::optional<model::ClusterTrial> trial;
+  double on = 0.0;
+  double off = 0.0;
+  PowerCounters counters;
+};
+
+ClusterRun run_cluster(const AllocState& state, ClusterId k,
+                       const AllocatorOptions& opts) {
+  ClusterRun run;
+  run.trial.emplace(state.extract_cluster(k));
+  AllocatorOptions local = opts;
+  std::vector<std::uint8_t> insertable;
+  if (opts.insertable != nullptr) {
+    for (ClientId i : run.trial->parent_clients())
+      insertable.push_back((*opts.insertable)[i.index()]);
+    local.insertable = &insertable;
+  }
+  AllocState& trial = run.trial->state();
+  const ClusterId slice_cluster{0};
+  run.counters.cluster_visits = 1;
+  if (opts.enable_turn_on)
+    run.on = turn_on_servers(trial, slice_cluster, local, &run.counters);
+  if (opts.enable_turn_off)
+    run.off = turn_off_servers(trial, slice_cluster, local, &run.counters);
+  return run;
+}
+
 }  // namespace
 
+PowerCounters& PowerCounters::operator+=(const PowerCounters& o) {
+  cluster_visits += o.cluster_visits;
+  commits += o.commits;
+  turn_on_bids += o.turn_on_bids;
+  turn_on_rollbacks += o.turn_on_rollbacks;
+  turn_on_bundles += o.turn_on_bundles;
+  turn_off_probes += o.turn_off_probes;
+  turn_off_screened += o.turn_off_screened;
+  turn_off_materialized += o.turn_off_materialized;
+  speculative_reruns += o.speculative_reruns;
+  return *this;
+}
+
 double turn_on_servers(AllocState& state, ClusterId k,
-                       const AllocatorOptions& opts) {
+                       const AllocatorOptions& opts, PowerCounters* counters) {
   const Cloud& cloud = state.cloud();
+  PowerCounters count;
 
   // One inactive representative per server class present in this cluster.
   std::map<ServerClassId, ServerId> candidates;
@@ -89,7 +134,8 @@ double turn_on_servers(AllocState& state, ClusterId k,
 
     // Full-fidelity trial state (clone-try-swap boundary): bids mutate the
     // branch, probes run on the branch's view, and the whole bundle is
-    // adopted or dropped at the gate.
+    // adopted or dropped at the gate. Under adjust_server_power `state` is
+    // a cluster trial, so the branch is O(cluster).
     AllocState trial = state.branch();
     // Bidding phase: moves may individually lose P0 (it is sunk once the
     // first bidder lands on j), so allow per-move regressions on the trial
@@ -99,6 +145,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
     bool anyone_used_j = false;
     double bundle_penalty = 0.0;
     for (ClientId i : bidders) {
+      ++count.turn_on_bids;
       const double before_move = trial.profit();
       const ClusterId old_cluster = trial.ledger().cluster_of(i);
       const auto old_placements = trial.ledger().placements(i);
@@ -106,6 +153,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
       auto plan = assign_distribute(trial.view(), i, k, opts);
       if (!plan) {
         trial.assign(i, old_cluster, old_placements);
+        ++count.turn_on_rollbacks;
         continue;
       }
       const double penalty =
@@ -121,6 +169,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
                               : 0.0;
       if (after_move + sunk + 1e-12 < before_move + penalty) {
         trial.assign(i, old_cluster, old_placements);
+        ++count.turn_on_rollbacks;
         continue;
       }
       anyone_used_j = anyone_used_j || uses_j;
@@ -128,20 +177,24 @@ double turn_on_servers(AllocState& state, ClusterId k,
     }
     if (!anyone_used_j) continue;
 
+    ++count.turn_on_bundles;
     const double gate_before = state.profit();
     const double gate_after = trial.profit();
     if (gate_after > gate_before + bundle_penalty + 1e-12) {
       total_delta += gate_after - gate_before;
       state.adopt(std::move(trial));
+      ++count.commits;
     }
   }
+  if (counters != nullptr) *counters += count;
   return total_delta;
 }
 
 double turn_off_servers(AllocState& state, ClusterId k,
-                        const AllocatorOptions& opts) {
+                        const AllocatorOptions& opts, PowerCounters* counters) {
   const Cloud& cloud = state.cloud();
   double total_delta = 0.0;
+  PowerCounters count;
 
   // Rank active, non-pinned servers by value, worst first. Values are
   // precomputed once: server_value walks the server's hosted clients, so
@@ -183,6 +236,7 @@ double turn_off_servers(AllocState& state, ClusterId k,
     if (!state.ledger().active(j)) continue;  // emptied by earlier shutdown
     ensure_base();
     constraints.exclude = j;
+    ++count.turn_off_probes;
 
     // Probe the shutdown clone-free: evict and re-insert the candidate's
     // clients one at a time on a copy of the shrunk engine's view, pricing
@@ -222,6 +276,7 @@ double turn_off_servers(AllocState& state, ClusterId k,
     // candidates within the margin pay for materialization.
     if (opts.power_screen_margin >= 0.0 &&
         move_delta - eviction_penalty < -opts.power_screen_margin) {
+      ++count.turn_off_screened;
       ++failures;
       continue;
     }
@@ -229,6 +284,7 @@ double turn_off_servers(AllocState& state, ClusterId k,
     // Materialize: replay the probed plans on a branch of the shrunk
     // state, re-grow shares to the normal policy, and judge the exact
     // profit gate.
+    ++count.turn_off_materialized;
     AllocState trial = shrunk->branch();
     for (std::size_t idx = 0; idx < evicted.size(); ++idx) {
       const ClientId i = evicted[idx];
@@ -244,46 +300,60 @@ double turn_off_servers(AllocState& state, ClusterId k,
     if (gate_after > gate_before + eviction_penalty + 1e-12) {
       total_delta += gate_after - gate_before;
       state.adopt(std::move(trial));
+      ++count.commits;
       shrunk.reset();
       failures = 0;
     } else {
       ++failures;
     }
   }
+  if (counters != nullptr) *counters += count;
   return total_delta;
 }
 
-double adjust_server_power(AllocState& state, const AllocatorOptions& opts) {
+double adjust_server_power(AllocState& state, const AllocatorOptions& opts,
+                           const dist::ParallelEval& eval,
+                           PowerCounters* counters) {
+  if (!opts.enable_turn_on && !opts.enable_turn_off) return 0.0;
+  // Trials need settled caches. Settling up front changes no pass: every
+  // branch the passes take settles before its first mutation, and a gate
+  // settles the state itself. Only a sweep that reaches no gate would have
+  // left the caller's repairs pending, so that case puts them back.
+  const AllocState::PendingRepairs pending = state.settle_reversibly();
+  const int num_clusters = state.cloud().num_clusters();
+  // One trial per executor at a time: the pool's workers plus the calling
+  // thread, which helps run a fan-out while it waits for it.
+  const int window = eval.parallel() ? eval.num_workers() + 1 : 1;
+  PowerCounters total;
   double delta = 0.0;
-  for (ClusterId k : state.cloud().cluster_ids()) {
-    if (opts.enable_turn_on) delta += turn_on_servers(state, k, opts);
-    if (opts.enable_turn_off) delta += turn_off_servers(state, k, opts);
+  std::vector<ClusterRun> runs;
+  for (int next = 0; next < num_clusters;) {
+    const int n = std::min(window, num_clusters - next);
+    runs.clear();
+    runs.resize(static_cast<std::size_t>(n));
+    eval.for_n(n, [&](int t) {
+      runs[static_cast<std::size_t>(t)] =
+          run_cluster(state, ClusterId{next + t}, opts);
+    });
+    // In-order fold: a commit changes the profit scalars every later trial
+    // started from, so those are dropped and run again from the merge.
+    int folded = 0;
+    while (folded < n) {
+      ClusterRun& run = runs[static_cast<std::size_t>(folded++)];
+      if (opts.enable_turn_on) delta += run.on;
+      if (opts.enable_turn_off) delta += run.off;
+      total += run.counters;
+      if (run.counters.commits > 0) {
+        state.merge_cluster(std::move(*run.trial));
+        break;
+      }
+    }
+    total.speculative_reruns += n - folded;
+    next += folded;
   }
-  return delta;
-}
-
-// --- Allocation wrappers ------------------------------------------------
-
-double turn_on_servers(Allocation& alloc, ClusterId k,
-                       const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = turn_on_servers(state, k, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double turn_off_servers(Allocation& alloc, ClusterId k,
-                        const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = turn_off_servers(state, k, opts);
-  alloc = std::move(state).release();
-  return delta;
-}
-
-double adjust_server_power(Allocation& alloc, const AllocatorOptions& opts) {
-  AllocState state(std::move(alloc));
-  const double delta = adjust_server_power(state, opts);
-  alloc = std::move(state).release();
+  if (total.turn_on_bundles + total.turn_off_materialized == 0)
+    state.unsettle(pending);
+  if (counters != nullptr) *counters += total;
   return delta;
 }
 

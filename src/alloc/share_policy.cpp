@@ -33,7 +33,7 @@ double per_client_slack(double cap, double demand, double n) {
 
 ShareSizing ShareSizing::from(const model::Cloud& cloud) {
   ShareSizing sizing;
-  const double n = std::max(1, cloud.num_clients());
+  const double n = std::max(1, cloud.fleet_clients());
   sizing.slack_work_p = units::WorkRate{
       per_client_slack(cloud.total_cap_p(), cloud.total_demand_p(), n)};
   sizing.slack_work_n = units::WorkRate{

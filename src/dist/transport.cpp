@@ -15,24 +15,36 @@ ChannelTransport::ChannelTransport(int num_agents) {
     agent_inbox_.push_back(std::make_unique<Mailbox<std::string>>());
 }
 
+// Both sends count a frame's bytes BEFORE the frame reaches the mailbox
+// (and take them back if the send fails): a receiver that reads stats()
+// right after receiving a frame must see that frame counted.
 bool ChannelTransport::send_to_agent(int k, std::string bytes) {
   CHECK(k >= 0 && k < num_agents());
   const std::size_t n = bytes.size();
-  if (!agent_inbox_[static_cast<std::size_t>(k)]->send(std::move(bytes)))
-    return false;
-  sync::MutexLock lock(bytes_mutex_);
-  bytes_ += n;
-  return true;
+  add_bytes(n);
+  if (agent_inbox_[static_cast<std::size_t>(k)]->send(std::move(bytes)))
+    return true;
+  subtract_bytes(n);
+  return false;
 }
 
 bool ChannelTransport::send_to_manager(int k, std::string bytes) {
   CHECK(k >= 0 && k < num_agents());
   const std::size_t n = bytes.size();
-  if (!manager_inbox_.send(ManagerEnvelope{k, std::move(bytes)}))
-    return false;
+  add_bytes(n);
+  if (manager_inbox_.send(ManagerEnvelope{k, std::move(bytes)})) return true;
+  subtract_bytes(n);
+  return false;
+}
+
+void ChannelTransport::add_bytes(std::size_t n) {
   sync::MutexLock lock(bytes_mutex_);
   bytes_ += n;
-  return true;
+}
+
+void ChannelTransport::subtract_bytes(std::size_t n) {
+  sync::MutexLock lock(bytes_mutex_);
+  bytes_ -= n;
 }
 
 std::optional<std::string> ChannelTransport::agent_receive(int k) {

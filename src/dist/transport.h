@@ -106,6 +106,9 @@ class ChannelTransport : public Transport {
   TransportStats stats() const override;
 
  private:
+  void add_bytes(std::size_t n);
+  void subtract_bytes(std::size_t n);
+
   std::vector<std::unique_ptr<Mailbox<std::string>>> agent_inbox_;
   Mailbox<ManagerEnvelope> manager_inbox_;
   // Byte counters only; message counts come from the mailboxes.

@@ -19,10 +19,15 @@
 // (the accessors evaluate the same expressions over the same bits).
 //
 // Copies happen only at documented boundaries:
+//   - extract_cluster()/merge_cluster(): a cluster-scoped trial for the
+//     moves that never leave one cluster (TurnON/TurnOFF). The trial is a
+//     standalone engine over a one-cluster slice of the cloud holding only
+//     that cluster's rows plus the running profit scalars, so it costs
+//     O(cluster), not O(cloud); merging copies the rows back bitwise.
 //   - branch()/adopt(): full-fidelity trial states for clone-try-swap
-//     phases (TurnON/TurnOFF). A branch carries the ledger's exact cache
-//     state, so a swapped-in branch is bitwise what mutating in place and
-//     rolling forward would have produced.
+//     phases (TurnON/TurnOFF branch their cluster trial). A branch carries
+//     the ledger's exact cache state, so a swapped-in branch is bitwise
+//     what mutating in place and rolling forward would have produced.
 //   - checkpoint()/materialize(): best-so-far tracking. A Checkpoint is
 //     placements + the tracked profit scalar only — no caches, no
 //     aggregates, no candidate orders — and materialize() rebuilds a
@@ -41,12 +46,16 @@
 // distributed manager call at phase boundaries.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "model/allocation.h"
 #include "model/residual.h"
 
 namespace cloudalloc::model {
+
+class ClusterTrial;
 
 class AllocState {
  public:
@@ -97,6 +106,42 @@ class AllocState {
     view_ = std::move(other.view_);
   }
 
+  // --- cluster-scoped trials (see ClusterTrial) -------------------------
+
+  /// Copies cluster k's rows out into a standalone trial: the ledger rows
+  /// of its servers and of the clients placed on them, those servers' view
+  /// rows, the cluster's candidate order, the matching revenue/cost cache
+  /// entries, and the running profit_total/repair count unchanged. The
+  /// state must be settled (profit_settled()) and must stay frozen while
+  /// the trial lives: the trial's drift rebase reads the other clusters'
+  /// cache rows from it. Pure reads, so several trials may be extracted
+  /// and run concurrently.
+  ClusterTrial extract_cluster(ClusterId k) const;
+
+  /// Copies a settled trial's rows and profit scalars back over cluster
+  /// k's, bitwise (no assign replay), then audits the merged rows — view
+  /// equal to ledger, carried total equal to the trial's — in every build
+  /// mode, at O(cluster) cost. The trial must have been extracted from
+  /// this state, with no other change to it since.
+  void merge_cluster(ClusterTrial&& trial);
+
+  /// Pending cache repairs set aside by settle_reversibly().
+  struct PendingRepairs {
+    std::vector<ClientId> clients;
+    std::vector<double> revenue;  ///< cache values the repairs overwrote
+    std::vector<ServerId> servers;
+    std::vector<double> cost;
+    double profit_total = 0.0;
+    std::size_t repairs = 0;
+  };
+
+  /// Settles the profit caches (like profit()) and returns what that
+  /// replaced, so unsettle() can put the unsettled state back bit for bit.
+  PendingRepairs settle_reversibly();
+
+  /// Undoes settle_reversibly(); only valid with no mutation in between.
+  void unsettle(const PendingRepairs& pending);
+
   // --- placement checkpoints (best-so-far tracking) ----------------------
 
   /// Placements plus the tracked profit scalar; far cheaper than an
@@ -138,12 +183,61 @@ class AllocState {
   /// prove the checker trips. Never called outside tests.
   void corrupt_aggregate_for_test(ServerId j, double delta);
 
+  /// Test hook: perturbs one view row (processing share in use) so tests
+  /// can prove the merge audit trips. Never called outside tests.
+  void corrupt_view_for_test(ServerId j, double delta);
+
+  /// Test hook: sets the ledger's repair count since its last drift
+  /// rebase, so tests can place the rebase inside a cluster trial.
+  void set_repairs_for_test(std::size_t repairs);
+
  private:
   AllocState(const AllocState&) = default;
+
+  /// The release-mode merge audit (see merge_cluster).
+  void audit_merged_cluster(ClusterId k, double trial_total) const;
 
   Allocation ledger_;
   ResidualView view_;
   std::vector<ServerId> touched_;  ///< scratch for resync batching
+};
+
+/// One cluster's rows of a parent AllocState as a standalone engine over a
+/// one-cluster slice of the cloud (Cloud::cluster_slice), made by
+/// AllocState::extract_cluster. In the slice the cluster is ClusterId{0}
+/// and clients/servers are renumbered in ascending parent-id order, so a
+/// move run on state() performs the same floating-point operations, in
+/// the same order, as on the parent — profit repairs included, since the
+/// running total and repair count come along. Client-indexed inputs
+/// (e.g. AllocatorOptions::insertable) must be remapped through
+/// parent_clients().
+class ClusterTrial {
+ public:
+  ClusterTrial(ClusterTrial&&) = default;
+  ClusterTrial& operator=(ClusterTrial&&) = default;
+
+  AllocState& state() { return state_; }
+
+  /// Slice client id -> parent client id (ascending).
+  const std::vector<ClientId>& parent_clients() const {
+    return origin_->clients;
+  }
+
+ private:
+  friend class AllocState;
+
+  ClusterTrial(ClusterId k, std::unique_ptr<const Cloud> cloud,
+               std::unique_ptr<Allocation::SliceOrigin> origin,
+               AllocState state)
+      : cluster_(k),
+        cloud_(std::move(cloud)),
+        origin_(std::move(origin)),
+        state_(std::move(state)) {}
+
+  ClusterId cluster_;  ///< the cluster's id in the parent
+  std::unique_ptr<const Cloud> cloud_;  ///< the slice state_ runs over
+  std::unique_ptr<Allocation::SliceOrigin> origin_;
+  AllocState state_;
 };
 
 }  // namespace cloudalloc::model

@@ -203,12 +203,42 @@ double Allocation::cached_profit() const {
   // the local search's improvement epsilons.
   if (repairs_ >= 4096) {
     repairs_ = 0;
-    double total = 0.0;
-    for (double r : revenue_cache_) total += r;
-    for (double cost : cost_cache_) total -= cost;
-    profit_total_ = total;
+    profit_total_ = rebased_total();
   }
   return profit_total_;
+}
+
+double Allocation::rebased_total() const {
+  double total = 0.0;
+  if (origin_ == nullptr) {
+    for (double r : revenue_cache_) total += r;
+    for (double cost : cost_cache_) total -= cost;
+    return total;
+  }
+  // A cluster slice: the same whole-cloud fold, in parent id order, with
+  // this slice's rows standing in for the parent's. The parent is frozen
+  // while its slices run, so the other rows are exactly what a rebase on
+  // the parent itself would read.
+  const Allocation& parent = *origin_->parent;
+  const std::vector<ClientId>& clients = origin_->clients;
+  std::size_t next = 0;
+  for (ClientId i : parent.revenue_cache_.ids()) {
+    if (next < clients.size() && clients[next] == i) {
+      total += revenue_cache_[ClientId{static_cast<int>(next++)}];
+    } else {
+      total += parent.revenue_cache_[i];
+    }
+  }
+  const std::vector<ServerId>& servers = origin_->servers;
+  next = 0;
+  for (ServerId j : parent.cost_cache_.ids()) {
+    if (next < servers.size() && servers[next] == j) {
+      total -= cost_cache_[ServerId{static_cast<int>(next++)}];
+    } else {
+      total -= parent.cost_cache_[j];
+    }
+  }
+  return total;
 }
 
 const std::vector<ServerId>& Allocation::insertion_candidates(

@@ -128,6 +128,17 @@ class Allocation {
     return dirty_clients_.empty() && dirty_servers_.empty();
   }
 
+  /// Where a cluster-slice ledger (AllocState::extract_cluster) came from:
+  /// the frozen parent ledger over the whole cloud and the slice's
+  /// local -> parent id maps (ascending). The drift rebase in
+  /// cached_profit() sums every cache of the WHOLE cloud in id order, so a
+  /// slice folds the parent's rows in around its own (see rebased_total).
+  struct SliceOrigin {
+    const Allocation* parent = nullptr;
+    std::vector<ClientId> clients;
+    std::vector<ServerId> servers;
+  };
+
  private:
   friend class ResidualView;
   friend class AllocState;
@@ -144,8 +155,10 @@ class Allocation {
   void add_footprint(ClientId i);
   void mark_client_dirty(ClientId i);
   void mark_server_dirty(ServerId j);
+  double rebased_total() const;
 
   const Cloud* cloud_;
+  const SliceOrigin* origin_ = nullptr;  ///< null unless a cluster slice
   IdVector<ClientId, ClusterId> cluster_of_;
   IdVector<ClientId, std::vector<Placement>> placements_;
   IdVector<ServerId, ServerAgg> server_;

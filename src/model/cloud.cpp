@@ -1,5 +1,6 @@
 #include "model/cloud.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -74,6 +75,46 @@ Cloud::Cloud(std::vector<ServerClass> server_classes,
     total_demand_p_ += c.lambda_pred * c.alpha_p;
     total_demand_n_ += c.lambda_pred * c.alpha_n;
   }
+  fleet_clients_ = num_clients();
+}
+
+Cloud Cloud::cluster_slice(ClusterId k,
+                           const std::vector<ClientId>& clients) const {
+  const Cluster& parent = cluster(k);
+  std::vector<ServerId> local_servers(parent.servers);
+  std::sort(local_servers.begin(), local_servers.end());
+  const auto local_id = [&](ServerId j) {
+    return ServerId{static_cast<int>(
+        std::lower_bound(local_servers.begin(), local_servers.end(), j) -
+        local_servers.begin())};
+  };
+  std::vector<Server> servers;
+  servers.reserve(local_servers.size());
+  for (ServerId j : local_servers) {
+    Server sv = server(j);
+    sv.id = ServerId{static_cast<int>(servers.size())};
+    sv.cluster = ClusterId{0};
+    servers.push_back(sv);
+  }
+  Cluster slice_cluster{ClusterId{0}, parent.name, {}};
+  slice_cluster.servers.reserve(parent.servers.size());
+  for (ServerId j : parent.servers)
+    slice_cluster.servers.push_back(local_id(j));
+  std::vector<Client> slice_clients;
+  slice_clients.reserve(clients.size());
+  for (ClientId i : clients) {
+    Client c = client(i);
+    c.id = ClientId{static_cast<int>(slice_clients.size())};
+    slice_clients.push_back(c);
+  }
+  Cloud slice(server_classes_, std::move(servers), {std::move(slice_cluster)},
+              utility_classes_, std::move(slice_clients));
+  slice.total_cap_p_ = total_cap_p_;
+  slice.total_cap_n_ = total_cap_n_;
+  slice.total_demand_p_ = total_demand_p_;
+  slice.total_demand_n_ = total_demand_n_;
+  slice.fleet_clients_ = fleet_clients_;
+  return slice;
 }
 
 void Cloud::set_lambda_pred(ClientId i, double lambda) {

@@ -77,6 +77,20 @@ class Cloud {
   double total_demand_p() const { return total_demand_p_; }
   double total_demand_n() const { return total_demand_n_; }
 
+  /// Client population the fleet-wide share sizing divides the slack by
+  /// (alloc::ShareSizing): num_clients() for a whole cloud, the parent's
+  /// population for a cluster slice.
+  int fleet_clients() const { return fleet_clients_; }
+
+  /// Standalone one-cluster cloud for a cluster-scoped trial
+  /// (AllocState::extract_cluster): cluster k's servers and `clients`
+  /// (ascending parent ids), renumbered densely in ascending parent-id
+  /// order — so every id tie-break keeps its order — under cluster id 0,
+  /// with the class tables copied whole. The fleet-wide sizing inputs
+  /// (total_cap_*, total_demand_*, fleet_clients) are this cloud's, so
+  /// share sizing on the slice matches the parent bit for bit.
+  Cloud cluster_slice(ClusterId k, const std::vector<ClientId>& clients) const;
+
  private:
   std::vector<ServerClass> server_classes_;
   std::vector<Server> servers_;
@@ -87,6 +101,7 @@ class Cloud {
   double total_cap_n_ = 0.0;
   double total_demand_p_ = 0.0;
   double total_demand_n_ = 0.0;
+  int fleet_clients_ = 0;
 };
 
 }  // namespace cloudalloc::model

@@ -2,7 +2,9 @@
 // frames are rejected (never fatal), AgentActor's versioned-delta replica
 // follows the idempotence contract of dist/protocol.h, and a greedy built
 // purely from BidRequest/BidResponse exchanges prices insertions
-// bit-identically to local ClusterAgent evaluation.
+// bit-identically to local ClusterAgent evaluation. ChannelTransport's
+// wire-byte count already includes a frame when its receiver returns.
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -445,6 +447,64 @@ TEST(AgentActor, GreedyByBidsMatchesLocalEvaluationBitwise) {
         k, codec::encode(protocol::AgentMessage{protocol::Shutdown{kEpoch}}));
   transport.close_all();
   for (auto& t : threads) t.join();
+}
+
+// --- transport byte accounting -------------------------------------------
+
+// A frame is counted before it reaches the mailbox, so stats() read right
+// after the receiver gets the LAST response already includes it (the
+// manager reports its wire bytes at exactly that point). Counting after
+// the hand-off lost that race on busy hosts; many short rounds with a
+// polling manager make a regression show up here.
+TEST(ChannelTransportBytes, CountIncludesAFrameAsSoonAsItIsReceived) {
+  constexpr int kRounds = 20000;
+  ChannelTransport transport(1);
+  int agent_misses = 0;  // read after join
+  std::thread agent([&] {
+    std::size_t seen = 0;
+    for (int r = 0;; ++r) {
+      const auto request = transport.agent_receive(0);
+      if (!request) return;  // closed
+      seen += request->size();
+      if (transport.stats().bytes != seen) ++agent_misses;
+      const std::string response(1 + r % 7, 'r');
+      seen += response.size();
+      if (!transport.send_to_manager(0, response)) return;
+    }
+  });
+  std::size_t expected = 0;
+  int manager_misses = 0;
+  int rounds = 0;
+  for (; rounds < kRounds; ++rounds) {
+    const std::string request(1 + rounds % 5, 'q');
+    expected += request.size();
+    if (!transport.send_to_agent(0, request)) break;
+    // Poll rather than block, so the manager picks the response up the
+    // moment it lands — inside any window between hand-off and count.
+    std::optional<ManagerEnvelope> response;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!response && std::chrono::steady_clock::now() < deadline)
+      response = transport.manager_receive_for(1e-3);
+    if (!response) break;
+    expected += response->bytes.size();
+    if (transport.stats().bytes != expected) ++manager_misses;
+  }
+  transport.close_all();
+  agent.join();
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_EQ(manager_misses, 0);
+  EXPECT_EQ(agent_misses, 0);
+  EXPECT_EQ(transport.stats().messages, 2u * kRounds);
+}
+
+TEST(ChannelTransportBytes, FailedSendsAreNotCounted) {
+  ChannelTransport transport(1);
+  ASSERT_TRUE(transport.send_to_agent(0, "abc"));
+  transport.close_all();
+  EXPECT_FALSE(transport.send_to_agent(0, "defg"));
+  EXPECT_FALSE(transport.send_to_manager(0, "hi"));
+  EXPECT_EQ(transport.stats().bytes, 3u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "alloc/server_power.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "model/alloc_state.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "model/serialize.h"
@@ -177,12 +178,12 @@ TEST(ProfitCacheFuzz, IncrementalMatchesScratchUnderRandomizedPasses) {
   params.servers_per_cluster = 4;
   const auto cloud = workload::make_scenario(params, 424242);
   alloc::AllocatorOptions opts;
-  model::Allocation alloc(cloud);
+  model::AllocState state(cloud);
   Rng rng(31415);
 
   const auto expect_cache_agrees = [&](int step) {
-    const double incremental = model::profit(alloc);
-    const double scratch = model::evaluate(alloc).profit;
+    const double incremental = state.profit();
+    const double scratch = model::evaluate(state.ledger()).profit;
     EXPECT_NEAR(incremental, scratch,
                 1e-9 * std::max(1.0, std::fabs(scratch)))
         << "step " << step;
@@ -194,25 +195,25 @@ TEST(ProfitCacheFuzz, IncrementalMatchesScratchUnderRandomizedPasses) {
         rng.index(static_cast<std::size_t>(cloud.num_clients())));
     switch (action) {
       case 0: {  // greedy (re)assign via the real insertion machinery
-        if (alloc.is_assigned(i)) alloc.clear(i);
-        auto plan = alloc::best_insertion(alloc, i, opts);
-        if (plan) alloc.assign(i, plan->cluster, std::move(plan->placements));
+        if (state.ledger().is_assigned(i)) state.clear(i);
+        auto plan = alloc::best_insertion(state.view(), i, opts);
+        if (plan) state.assign(i, plan->cluster, std::move(plan->placements));
         break;
       }
       case 1:
-        if (alloc.is_assigned(i)) alloc.clear(i);
+        if (state.ledger().is_assigned(i)) state.clear(i);
         break;
       case 2:
-        alloc::adjust_all_shares(alloc, opts);
+        alloc::adjust_all_shares(state, opts);
         break;
       case 3:
-        alloc::adjust_all_dispersions(alloc, opts);
+        alloc::adjust_all_dispersions(state, opts);
         break;
       case 4:
-        alloc::adjust_server_power(alloc, opts);
+        alloc::adjust_server_power(state, opts);
         break;
       default:
-        alloc::reassign_pass_snapshot(alloc, opts);
+        alloc::reassign_pass_snapshot(state, opts);
         break;
     }
     if (step % 7 == 0) expect_cache_agrees(step);

@@ -1,0 +1,324 @@
+// The cluster-parallel TurnON/TurnOFF sweep: cluster trials extract and
+// merge bitwise, and the sweep reproduces the in-place sequential loop —
+// profit, placements, cache state and work counters — at every worker
+// count, including when several clusters commit in one window (the re-run
+// path) and when the state enters with unsettled profit caches.
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "alloc/adjust_dispersion.h"
+#include "alloc/adjust_shares.h"
+#include "alloc/allocator.h"
+#include "alloc/initial.h"
+#include "alloc/server_power.h"
+#include "common/rng.h"
+#include "dist/parallel_eval.h"
+#include "dist/thread_pool.h"
+#include "model/alloc_state.h"
+#include "serve/online.h"
+#include "workload/churn.h"
+#include "workload/scenario.h"
+
+namespace cloudalloc::alloc {
+namespace {
+
+using model::AllocState;
+using model::ClientId;
+using model::ClusterId;
+using model::Placement;
+using model::ServerId;
+
+constexpr int kWorkerCounts[] = {1, 2, 4, 8};
+
+dist::ParallelEval eval_for(int workers) {
+  return dist::ParallelEval(
+      workers > 1 ? &dist::ThreadPool::shared(workers) : nullptr);
+}
+
+/// The sweep as it ran before cluster trials: both passes over every
+/// cluster, in place on the whole state. The oracle for every test here.
+double sequential_sweep(AllocState& state, const AllocatorOptions& opts,
+                        PowerCounters& counters) {
+  double delta = 0.0;
+  for (ClusterId k : state.cloud().cluster_ids()) {
+    ++counters.cluster_visits;
+    if (opts.enable_turn_on) delta += turn_on_servers(state, k, opts, &counters);
+    if (opts.enable_turn_off)
+      delta += turn_off_servers(state, k, opts, &counters);
+  }
+  return delta;
+}
+
+/// Bitwise equality of everything a later phase can observe: placements,
+/// server aggregates, view rows, and the profit cache (settledness first,
+/// since settling is itself an observable step).
+void expect_same_state(AllocState& a, AllocState& b) {
+  const model::Allocation& la = a.ledger();
+  const model::Allocation& lb = b.ledger();
+  for (ClientId i : a.cloud().client_ids()) {
+    ASSERT_EQ(la.cluster_of(i), lb.cluster_of(i)) << "client " << i;
+    const std::vector<Placement>& pa = la.placements(i);
+    const std::vector<Placement>& pb = lb.placements(i);
+    ASSERT_EQ(pa.size(), pb.size()) << "client " << i;
+    for (std::size_t p = 0; p < pa.size(); ++p) {
+      EXPECT_EQ(pa[p].server, pb[p].server);
+      EXPECT_EQ(pa[p].psi, pb[p].psi);
+      EXPECT_EQ(pa[p].phi_p, pb[p].phi_p);
+      EXPECT_EQ(pa[p].phi_n, pb[p].phi_n);
+    }
+  }
+  for (ServerId j : a.cloud().server_ids()) {
+    EXPECT_EQ(la.used_phi_p(j), lb.used_phi_p(j)) << "server " << j;
+    EXPECT_EQ(la.used_phi_n(j), lb.used_phi_n(j));
+    EXPECT_EQ(la.used_disk(j), lb.used_disk(j));
+    EXPECT_EQ(la.proc_load(j), lb.proc_load(j));
+    EXPECT_EQ(la.clients_on(j), lb.clients_on(j));
+    EXPECT_EQ(a.view().free_phi_p(j), b.view().free_phi_p(j));
+    EXPECT_EQ(a.view().proc_load(j), b.view().proc_load(j));
+  }
+  for (ClusterId k : a.cloud().cluster_ids())
+    EXPECT_EQ(la.insertion_candidates(k), lb.insertion_candidates(k));
+  EXPECT_EQ(la.profit_settled(), lb.profit_settled());
+  EXPECT_EQ(a.profit(), b.profit());
+  EXPECT_TRUE(a.aggregates_consistent());
+}
+
+PowerCounters without_reruns(PowerCounters c) {
+  c.speculative_reruns = 0;
+  return c;
+}
+
+/// Runs the cluster-parallel sweep at every worker count on branches of
+/// `base` and checks each against the sequential oracle. Returns the
+/// counters of the widest window.
+PowerCounters expect_sweeps_match_oracle(const AllocState& base,
+                                         const AllocatorOptions& opts) {
+  AllocState oracle = base.branch();
+  PowerCounters want;
+  const double want_delta = sequential_sweep(oracle, opts, want);
+  PowerCounters widest;
+  for (int workers : kWorkerCounts) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    AllocState state = base.branch();
+    PowerCounters got;
+    const double delta =
+        adjust_server_power(state, opts, eval_for(workers), &got);
+    EXPECT_EQ(delta, want_delta);  // bitwise
+    EXPECT_EQ(without_reruns(got), want);
+    if (workers == 1) {
+      EXPECT_EQ(got.speculative_reruns, 0);
+    }
+    AllocState want_state = oracle.branch();  // comparing settles both
+    expect_same_state(state, want_state);
+    widest = got;
+  }
+  return widest;
+}
+
+/// Every cluster's clients crammed onto the cluster's first server with
+/// slim shares: degraded everywhere, so TurnON commits in cluster after
+/// cluster.
+AllocState crammed_state(const model::Cloud& cloud) {
+  AllocState state(cloud);
+  const int num_clusters = cloud.num_clusters();
+  for (ClientId i : cloud.client_ids()) {
+    const ClusterId k{i.value() % num_clusters};
+    const ServerId j = cloud.cluster(k).servers.front();
+    const double share =
+        0.9 / static_cast<double>((cloud.num_clients() + num_clusters - 1) /
+                                  num_clusters);
+    state.assign(i, k, {Placement{j, 1.0, share, share}});
+  }
+  return state;
+}
+
+model::Cloud small_cloud(std::uint64_t seed) {
+  workload::ScenarioParams params;
+  params.num_clients = 40;
+  params.num_clusters = 6;
+  params.servers_per_cluster = 6;
+  return workload::make_scenario(params, seed);
+}
+
+TEST(ServerPowerParallel, ExtractThenMergeIsABitwiseIdentity) {
+  const model::Cloud cloud = small_cloud(5);
+  AllocatorOptions opts;
+  Rng rng(5);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  state.profit();
+  AllocState before = state.branch();
+  for (ClusterId k : cloud.cluster_ids()) {
+    model::ClusterTrial trial = state.extract_cluster(k);
+    EXPECT_TRUE(trial.state().aggregates_consistent());
+    EXPECT_EQ(trial.state().profit(), before.profit());
+    state.merge_cluster(std::move(trial));
+  }
+  expect_same_state(state, before);
+}
+
+TEST(ServerPowerParallel, MergeAuditTripsOnACorruptedTrialRow) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const model::Cloud cloud = small_cloud(6);
+  AllocatorOptions opts;
+  Rng rng(6);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  state.profit();
+  model::ClusterTrial trial = state.extract_cluster(ClusterId{1});
+  trial.state().corrupt_view_for_test(ServerId{0}, 1e-6);
+  EXPECT_DEATH(state.merge_cluster(std::move(trial)), "merge_cluster audit");
+}
+
+TEST(ServerPowerParallel, MatchesTheSequentialSweepOn1kAnd10kWitnesses) {
+  for (int clients : {1000, 10000}) {
+    SCOPED_TRACE(testing::Message() << clients << " clients");
+    const model::Cloud cloud =
+        workload::make_scenario(workload::scaled_params(clients), 11);
+    AllocatorOptions opts;
+    opts.num_initial_solutions = 1;
+    opts.num_shards = 8;
+    opts.cluster_fanout = 4;
+    opts.num_threads = 4;
+    // The witness solve's state as it enters its first sweep.
+    Rng rng(opts.seed);
+    AllocState state(
+        build_initial_solution(cloud, opts, rng, eval_for(opts.num_threads)));
+    state.profit();
+    adjust_all_shares(state, opts);
+    adjust_all_dispersions(state, opts);
+    expect_sweeps_match_oracle(state, opts);
+  }
+}
+
+TEST(ServerPowerParallel, WitnessSolveIsBitwiseEqualAtEveryWorkerCount) {
+  const model::Cloud cloud =
+      workload::make_scenario(workload::scaled_params(1000), 11);
+  std::vector<AllocatorResult> results;
+  for (int workers : kWorkerCounts) {
+    AllocatorOptions opts;
+    opts.num_initial_solutions = 1;
+    opts.max_local_search_rounds = 1;
+    opts.num_shards = 8;
+    opts.cluster_fanout = 4;
+    opts.num_threads = workers;
+    results.push_back(ResourceAllocator(opts).run(cloud));
+  }
+  for (const AllocatorResult& r : results) {
+    EXPECT_EQ(r.report.final_profit, 2678.4588166295971);  // bitwise
+    ASSERT_EQ(r.report.rounds.size(), results[0].report.rounds.size());
+    for (std::size_t round = 0; round < r.report.rounds.size(); ++round) {
+      const PowerCounters& got = r.report.rounds[round].power;
+      EXPECT_EQ(without_reruns(got),
+                without_reruns(results[0].report.rounds[round].power));
+      EXPECT_EQ(got.cluster_visits, cloud.num_clusters());
+    }
+    AllocState a(r.allocation.clone());
+    AllocState b(results[0].allocation.clone());
+    expect_same_state(a, b);
+  }
+}
+
+TEST(ServerPowerParallel, SeveralCommitsInOneWindowRerunTheRest) {
+  const model::Cloud cloud = small_cloud(9);
+  AllocatorOptions opts;
+  AllocState state = crammed_state(cloud);
+  state.profit();
+  const PowerCounters widest = expect_sweeps_match_oracle(state, opts);
+  EXPECT_GE(widest.commits, 2);
+  EXPECT_GT(widest.speculative_reruns, 0);
+}
+
+TEST(ServerPowerParallel, DriftRebaseInsideATrialMatchesTheSequentialSweep) {
+  // The rebase every 4096 repairs re-sums the whole cloud's caches; a
+  // trial does it over its own rows plus the frozen state's. Start the
+  // sweep at several distances from it so it lands inside committing
+  // and non-committing trials alike.
+  const model::Cloud cloud = small_cloud(9);
+  AllocatorOptions opts;
+  AllocState state = crammed_state(cloud);
+  state.profit();
+  for (std::size_t before_rebase : {1, 7, 40, 150, 600, 2000}) {
+    SCOPED_TRACE(testing::Message() << before_rebase << " repairs to go");
+    state.set_repairs_for_test(4096 - before_rebase);
+    expect_sweeps_match_oracle(state, opts);
+  }
+}
+
+TEST(ServerPowerParallel, UnsettledEntryMatchesTheSequentialSweep) {
+  // Fresh assigns leave every repair pending; the first gate settles them.
+  const model::Cloud crammed_cloud = small_cloud(9);
+  AllocatorOptions opts;
+  const AllocState crammed = crammed_state(crammed_cloud);
+  ASSERT_FALSE(crammed.ledger().profit_settled());
+  EXPECT_GT(expect_sweeps_match_oracle(crammed, opts).turn_on_bundles, 0);
+
+  const model::Cloud cloud = small_cloud(10);
+  Rng rng(10);
+  AllocState state(build_initial_solution(cloud, opts, rng));
+  state.profit();
+  // Pending repairs on entry: clients moved without settling.
+  for (ClientId i : {ClientId{3}, ClientId{17}, ClientId{29}}) {
+    if (!state.ledger().is_assigned(i)) continue;
+    const ClusterId k = state.ledger().cluster_of(i);
+    const std::vector<Placement> ps = state.ledger().placements(i);
+    state.clear(i);
+    state.assign(i, k, ps);
+  }
+  ASSERT_FALSE(state.ledger().profit_settled());
+  expect_sweeps_match_oracle(state, opts);
+
+  // A sweep that reaches no profit gate leaves the repairs pending.
+  AllocatorOptions no_gate = opts;
+  no_gate.enable_turn_off = false;
+  no_gate.degraded_utility_fraction = 0.0;  // no bidders, no bundles
+  AllocState quiet = state.branch();
+  PowerCounters counters;
+  adjust_server_power(quiet, no_gate, eval_for(4), &counters);
+  EXPECT_EQ(counters.turn_on_bundles, 0);
+  EXPECT_FALSE(quiet.ledger().profit_settled());
+  expect_sweeps_match_oracle(state, no_gate);
+}
+
+TEST(ServerPowerParallel, OnlineReplayMatchesAcrossThreadCounts) {
+  const model::Cloud universe =
+      workload::make_scenario(workload::scaled_params(400), 11);
+  workload::ChurnParams churn;
+  churn.epochs = 6;
+  churn.initial_clients = 320;
+  churn.arrival_rate = 2.0;
+  churn.departure_probability = 0.01;
+  churn.demand_change_probability = 0.02;
+  const workload::ChurnStream stream =
+      workload::make_churn_stream(universe, churn, 12);
+
+  std::vector<std::unique_ptr<serve::OnlineServer>> servers;
+  std::vector<std::vector<double>> profits;
+  for (int threads : {1, 4}) {
+    serve::OnlineOptions opts;
+    opts.alloc.num_initial_solutions = 1;
+    opts.alloc.max_local_search_rounds = 1;
+    opts.alloc.num_shards = 8;
+    opts.alloc.cluster_fanout = 4;
+    opts.alloc.migration_cost = 2.0;
+    opts.alloc.num_threads = threads;
+    servers.push_back(std::make_unique<serve::OnlineServer>(
+        universe, stream.initially_present, opts));
+    serve::OnlineServer& server = *servers.back();
+    std::vector<double>& seen = profits.emplace_back();
+    server.start();
+    seen.push_back(server.profit());
+    for (const auto& events : stream.epochs) {
+      server.step(events);
+      seen.push_back(server.profit());
+    }
+  }
+  EXPECT_EQ(profits[0], profits[1]);  // bitwise, epoch by epoch
+  AllocState a(servers[0]->allocation().clone());
+  AllocState b(servers[1]->allocation().clone());
+  expect_same_state(a, b);
+}
+
+}  // namespace
+}  // namespace cloudalloc::alloc
