@@ -98,17 +98,17 @@ void BM_AssignDistribute(benchmark::State& state) {
   params.num_clients = 50;
   const auto cloud = workload::make_scenario(params, 4);
   alloc::AllocatorOptions opts;
-  model::Allocation alloc_state(cloud);
+  model::AllocState alloc_state(cloud);
   // Half-fill the first cluster so the evaluation sees realistic state.
   for (int ci = 0; ci < 25; ++ci) {
     const model::ClientId i{ci};
-    auto plan =
-        alloc::assign_distribute(alloc_state, i, model::ClusterId{0}, opts);
+    auto plan = alloc::assign_distribute(alloc_state.view(), i,
+                                         model::ClusterId{0}, opts);
     if (plan)
       alloc_state.assign(i, model::ClusterId{0}, std::move(plan->placements));
   }
   for (auto _ : state) {
-    auto plan = alloc::assign_distribute(alloc_state, model::ClientId{30}, model::ClusterId{0}, opts);
+    auto plan = alloc::assign_distribute(alloc_state.view(), model::ClientId{30}, model::ClusterId{0}, opts);
     benchmark::DoNotOptimize(plan);
   }
 }
@@ -128,11 +128,13 @@ struct MovePricingFixture {
             }(),
             6)),
         alloc_state(cloud) {
+    model::AllocState placed(cloud);
     for (int ci = 0; ci < 60; ++ci) {
       const model::ClientId i{ci};
-      auto plan = alloc::best_insertion(alloc_state, i, opts);
-      if (plan) alloc_state.assign(i, plan->cluster, plan->placements);
+      auto plan = alloc::best_insertion(placed.view(), i, opts);
+      if (plan) placed.assign(i, plan->cluster, plan->placements);
     }
+    alloc_state = std::move(placed).release();
     model::profit(alloc_state);  // settle caches before snapshotting
     mover = model::ClientId{0};
     old_ps = alloc_state.placements(mover);

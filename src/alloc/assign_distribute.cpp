@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 #include "alloc/share_policy.h"
 #include "common/check.h"
@@ -20,7 +19,6 @@
 namespace cloudalloc::alloc {
 namespace {
 
-using model::Allocation;
 using model::Client;
 using model::ClientId;
 using model::Cloud;
@@ -72,12 +70,11 @@ struct Scratch {
 /// active when required. Applied identically when building the full list
 /// and when walking the candidate index, so the top-K subset is always a
 /// subsequence of the full list.
-template <class State>
-bool candidate_ok(const State& state, ServerId j, const Client& c,
+bool candidate_ok(const ResidualView& view, ServerId j, const Client& c,
                   const InsertionConstraints& constraints) {
   if (j == constraints.exclude) return false;
-  if (!constraints.allow_inactive && !state.active(j)) return false;
-  if (state.free_disk(j) + kEps < c.disk) return false;
+  if (!constraints.allow_inactive && !view.active(j)) return false;
+  if (view.free_disk(j) + kEps < c.disk) return false;
   return true;
 }
 
@@ -88,8 +85,7 @@ bool candidate_ok(const State& state, ServerId j, const Client& c,
 /// The arithmetic is operation-for-operation the scalar
 /// gps_service_rate / mm1_response_time form, so batching never changes a
 /// score bit.
-template <class State>
-void score_rows(const State& state, const Cloud& cloud, const Client& c,
+void score_rows(const ResidualView& view, const Cloud& cloud, const Client& c,
                 double slope, Time zc, const ShareSizing& sizing,
                 const AllocatorOptions& opts, int G,
                 const std::vector<ServerId>& cands,
@@ -106,9 +102,9 @@ void score_rows(const State& state, const Cloud& cloud, const Client& c,
   for (std::size_t idx = 0; idx < cands.size(); ++idx) {
     const ServerId j = cands[idx];
     const ServerClass& sc = cloud.server_class_of(j);
-    const double free_p = state.free_phi_p(j);
-    const double free_n = state.free_phi_n(j);
-    const bool was_active = state.active(j);
+    const double free_p = view.free_phi_p(j);
+    const double free_n = view.free_phi_n(j);
+    const bool was_active = view.active(j);
 
     // Same-class row reuse: the shares depend on the server only through
     // its class and its free capacity, and both the stability floor and
@@ -215,8 +211,7 @@ void score_rows(const State& state, const Cloud& cloud, const Client& c,
 /// min(m, G) and (b) every included twin has a higher id, i.e. the group
 /// was cut by the id-descending prefix of the candidate index. Such
 /// twins are skipped by the bound scan instead of failing it.
-template <class State>
-bool certified(const State& state, const Cloud& cloud, const Client& c,
+bool certified(const ResidualView& view, const Cloud& cloud, const Client& c,
                double slope, Time zc, const ShareSizing& sizing,
                const AllocatorOptions& opts, int G,
                const std::vector<ServerId>& cands,
@@ -262,9 +257,9 @@ bool certified(const State& state, const Cloud& cloud, const Client& c,
   const auto key_of = [&](ServerId j) {
     const auto cls =
         static_cast<std::uint64_t>(cloud.server(j).server_class.value());
-    return TwinKey{(cls << 1) | (state.active(j) ? 1u : 0u),
-                   std::bit_cast<std::uint64_t>(state.free_phi_p(j)),
-                   std::bit_cast<std::uint64_t>(state.free_phi_n(j))};
+    return TwinKey{(cls << 1) | (view.active(j) ? 1u : 0u),
+                   std::bit_cast<std::uint64_t>(view.free_phi_p(j)),
+                   std::bit_cast<std::uint64_t>(view.free_phi_n(j))};
   };
   thread_local std::vector<TwinGroup> twins;
   twins.clear();
@@ -301,8 +296,8 @@ bool certified(const State& state, const Cloud& cloud, const Client& c,
     if (tg.included >= std::min(tg.members, G) && j < tg.min_included)
       continue;  // redundant twin — see the comment above
     const ServerClass& sc = cloud.server_class_of(j);
-    const double free_p = state.free_phi_p(j);
-    const double free_n = state.free_phi_n(j);
+    const double free_p = view.free_phi_p(j);
+    const double free_n = view.free_phi_n(j);
     // size_share's stability-floor test at one quantum; failing it means
     // the row is all-infeasible past g=0 and constrains nothing.
     if (queueing::gps_min_share(arr1, WorkRate{sc.cap_p}, Work{c.alpha_p},
@@ -369,11 +364,13 @@ InsertionPlan build_plan(const Client& c, const Cloud& cloud, ClientId i,
   return plan;
 }
 
-template <class State>
-std::optional<InsertionPlan> assign_distribute_impl(
-    const State& state, ClientId i, ClusterId k, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, InsertionStats* stats) {
-  const Cloud& cloud = state.cloud();
+}  // namespace
+
+std::optional<InsertionPlan> assign_distribute(
+    const ResidualView& view, ClientId i, ClusterId k,
+    const AllocatorOptions& opts, const InsertionConstraints& constraints,
+    InsertionStats* stats) {
+  const Cloud& cloud = view.cloud();
   const Client& c = cloud.client(i);
   const auto& fn = cloud.utility_of(i);
   const int G = opts.psi_grid;
@@ -394,27 +391,24 @@ std::optional<InsertionPlan> assign_distribute_impl(
   thread_local std::vector<ServerId> cands;
   cands.clear();
   cands.reserve(cluster_servers.size());
-  bool screened = false;
-  if constexpr (std::is_same_v<State, ResidualView>) {
-    // Batched eq.-8 disk screen (SIMD, see ResidualView::screen_free_disk):
-    // the free-disk comparison for the whole cluster in one sweep; the
-    // remaining filter tests are branch-only. Same test, same order of
-    // servers — the candidate list cannot differ from the scalar build.
-    thread_local std::vector<std::uint8_t> disk_ok;
-    if (state.screen_free_disk(k, c.disk, kEps, disk_ok)) {
-      screened = true;
-      for (std::size_t idx = 0; idx < cluster_servers.size(); ++idx) {
-        const ServerId j = cluster_servers[idx];
-        if (disk_ok[idx] == 0) continue;
-        if (j == constraints.exclude) continue;
-        if (!constraints.allow_inactive && !state.active(j)) continue;
-        cands.push_back(j);
-      }
+  // Batched eq.-8 disk screen (SIMD, see ResidualView::screen_free_disk):
+  // the free-disk comparison for the whole cluster in one sweep; the
+  // remaining filter tests are branch-only. Same test, same order of
+  // servers — the candidate list cannot differ from the scalar build,
+  // which remains the path for clusters the screen refuses (non-contiguous
+  // server ids).
+  thread_local std::vector<std::uint8_t> disk_ok;
+  if (view.screen_free_disk(k, c.disk, kEps, disk_ok)) {
+    for (std::size_t idx = 0; idx < cluster_servers.size(); ++idx) {
+      const ServerId j = cluster_servers[idx];
+      if (disk_ok[idx] == 0) continue;
+      if (j == constraints.exclude) continue;
+      if (!constraints.allow_inactive && !view.active(j)) continue;
+      cands.push_back(j);
     }
-  }
-  if (!screened) {
+  } else {
     for (ServerId j : cluster_servers)
-      if (candidate_ok(state, j, c, constraints)) cands.push_back(j);
+      if (candidate_ok(view, j, c, constraints)) cands.push_back(j);
   }
   if (cands.empty()) return std::nullopt;
 
@@ -455,9 +449,9 @@ std::optional<InsertionPlan> assign_distribute_impl(
         const auto cls =
             static_cast<std::uint64_t>(cloud.server(a).server_class.value());
         return std::array<std::uint64_t, 3>{
-            (cls << 1) | (state.active(a) ? 1u : 0u),
-            std::bit_cast<std::uint64_t>(state.free_phi_p(a)),
-            std::bit_cast<std::uint64_t>(state.free_phi_n(a))};
+            (cls << 1) | (view.active(a) ? 1u : 0u),
+            std::bit_cast<std::uint64_t>(view.free_phi_p(a)),
+            std::bit_cast<std::uint64_t>(view.free_phi_n(a))};
       };
       thread_local std::vector<ServerId> chosen;
       chosen.clear();
@@ -470,16 +464,16 @@ std::optional<InsertionPlan> assign_distribute_impl(
       // exact, so the walk visits the same servers in the same order as
       // the historical full-order scan.
       std::size_t want = static_cast<std::size_t>(topk) * 2 + 8;
-      const std::vector<ServerId>* prefix = &state.ordered_prefix(k, want);
+      const std::vector<ServerId>* prefix = &view.ordered_prefix(k, want);
       for (std::size_t pi = 0;; ++pi) {
         if (pi >= prefix->size()) {
           if (prefix->size() >= cluster_servers.size()) break;
           want = std::max(want * 2, prefix->size() + 1);
-          prefix = &state.ordered_prefix(k, want);
+          prefix = &view.ordered_prefix(k, want);
           if (pi >= prefix->size()) break;
         }
         const ServerId j = (*prefix)[pi];
-        if (!candidate_ok(state, j, c, constraints)) continue;
+        if (!candidate_ok(view, j, c, constraints)) continue;
         const auto key = twin_key(j);
         const bool same_run = !chosen.empty() && key == run_key;
         if (static_cast<int>(chosen.size()) >= topk &&
@@ -499,10 +493,10 @@ std::optional<InsertionPlan> assign_distribute_impl(
           pruned.push_back(j);
       if (stats != nullptr) stats->last_pruned_set = pruned;
 
-      score_rows(state, cloud, c, slope, zc, sizing, opts, G, pruned, options,
+      score_rows(view, cloud, c, slope, zc, sizing, opts, G, pruned, options,
                  scores, scratch);
       const auto dp = opt::dp_distribute(scores, G);
-      if (dp && certified(state, cloud, c, slope, zc, sizing, opts, G, cands,
+      if (dp && certified(view, cloud, c, slope, zc, sizing, opts, G, cands,
                           pruned, *dp)) {
         if (stats != nullptr) ++stats->pruned_solves;
         prune_streak[kk] /= 2;  // decay, not reset: mid-load clusters
@@ -520,19 +514,18 @@ std::optional<InsertionPlan> assign_distribute_impl(
     ++stats->full_solves;
   }
 
-  score_rows(state, cloud, c, slope, zc, sizing, opts, G, cands, options,
+  score_rows(view, cloud, c, slope, zc, sizing, opts, G, cands, options,
              scores, scratch);
   const auto dp = opt::dp_distribute(scores, G);
   if (!dp) return std::nullopt;
   return build_plan(c, cloud, i, k, G, cands, options, *dp);
 }
 
-template <class State>
-std::optional<InsertionPlan> best_insertion_impl(
-    const State& state, ClientId i, const AllocatorOptions& opts,
+std::optional<InsertionPlan> best_insertion(
+    const ResidualView& view, ClientId i, const AllocatorOptions& opts,
     const InsertionConstraints& constraints, InsertionStats* stats) {
   std::optional<InsertionPlan> best;
-  const int num_clusters = state.cloud().num_clusters();
+  const int num_clusters = view.cloud().num_clusters();
   const int fanout = opts.cluster_fanout;
   if (fanout > 0 && fanout < num_clusters) {
     // Deterministic probe window (see AllocatorOptions::cluster_fanout): a
@@ -548,45 +541,16 @@ std::optional<InsertionPlan> best_insertion_impl(
     for (int t = 0; t < fanout; ++t) {
       const ClusterId k{static_cast<int>(
           (start + static_cast<std::uint64_t>(t)) % kk)};
-      auto plan =
-          assign_distribute_impl(state, i, k, opts, constraints, stats);
+      auto plan = assign_distribute(view, i, k, opts, constraints, stats);
       if (plan && (!best || plan->score > best->score)) best = std::move(plan);
     }
     return best;
   }
-  for (ClusterId k : state.cloud().cluster_ids()) {
-    auto plan = assign_distribute_impl(state, i, k, opts, constraints, stats);
+  for (ClusterId k : view.cloud().cluster_ids()) {
+    auto plan = assign_distribute(view, i, k, opts, constraints, stats);
     if (plan && (!best || plan->score > best->score)) best = std::move(plan);
   }
   return best;
-}
-
-}  // namespace
-
-std::optional<InsertionPlan> assign_distribute(
-    const Allocation& alloc, ClientId i, ClusterId k,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints,
-    InsertionStats* stats) {
-  return assign_distribute_impl(alloc, i, k, opts, constraints, stats);
-}
-
-std::optional<InsertionPlan> assign_distribute(
-    const ResidualView& view, ClientId i, ClusterId k,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints,
-    InsertionStats* stats) {
-  return assign_distribute_impl(view, i, k, opts, constraints, stats);
-}
-
-std::optional<InsertionPlan> best_insertion(
-    const Allocation& alloc, ClientId i, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, InsertionStats* stats) {
-  return best_insertion_impl(alloc, i, opts, constraints, stats);
-}
-
-std::optional<InsertionPlan> best_insertion(
-    const ResidualView& view, ClientId i, const AllocatorOptions& opts,
-    const InsertionConstraints& constraints, InsertionStats* stats) {
-  return best_insertion_impl(view, i, opts, constraints, stats);
 }
 
 }  // namespace cloudalloc::alloc

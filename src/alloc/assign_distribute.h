@@ -23,27 +23,23 @@
 // Candidate pruning (AllocatorOptions::candidate_topk): instead of scoring
 // every feasible server, the evaluator first solves the DP over the top-K
 // servers of the cluster's insertion-candidate index (residual processing
-// rate descending — see Allocation::insertion_candidates). The pruned
+// rate descending — see model/residual.h). The pruned
 // result is accepted only when a per-quantum optimistic bound proves no
 // excluded server could participate in any split that matches or beats it
 // (strict margin), in which case the full scan would return the identical
 // plan; otherwise the evaluator falls back to the exact full scan. Pruning
 // is therefore a pure speedup: results are bit-identical with it on or off.
 //
-// Both the full Allocation and the flat ResidualView (model/residual.h)
-// satisfy the state interface, so speculative probes can run against a
-// cheap SoA snapshot without cloning an Allocation.
+// The evaluator prices against a ResidualView (model/residual.h), the flat
+// SoA residual state: an AllocState's view for committed state, a copy of
+// it for speculation, or ResidualView(alloc) for a plain Allocation.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "alloc/options.h"
-#include "model/allocation.h"
-
-namespace cloudalloc::model {
-class ResidualView;
-}  // namespace cloudalloc::model
+#include "model/residual.h"
 
 namespace cloudalloc::alloc {
 
@@ -75,26 +71,14 @@ struct InsertionStats {
 };
 
 /// Evaluates the best insertion of (currently unassigned) client i into
-/// cluster k against the allocation's current state. Returns nullopt when
-/// the cluster cannot feasibly host the client.
-std::optional<InsertionPlan> assign_distribute(
-    const model::Allocation& alloc, model::ClientId i, model::ClusterId k,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
-    InsertionStats* stats = nullptr);
-
-/// Same evaluation against a ResidualView snapshot — no Allocation needed.
+/// cluster k against the view's residual state. Returns nullopt when the
+/// cluster cannot feasibly host the client.
 std::optional<InsertionPlan> assign_distribute(
     const model::ResidualView& view, model::ClientId i, model::ClusterId k,
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
     InsertionStats* stats = nullptr);
 
-/// Convenience: best insertion across all clusters (nullopt if none fits).
-std::optional<InsertionPlan> best_insertion(
-    const model::Allocation& alloc, model::ClientId i,
-    const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
-    InsertionStats* stats = nullptr);
-
-/// best_insertion against a ResidualView snapshot.
+/// Best insertion across all clusters (nullopt if none fits).
 std::optional<InsertionPlan> best_insertion(
     const model::ResidualView& view, model::ClientId i,
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},

@@ -10,13 +10,15 @@
 #include "dist/transport.h"
 #include "model/alloc_state.h"
 #include "model/evaluator.h"
+#include "model/residual.h"
 
 namespace cloudalloc::dist {
 
 std::optional<alloc::InsertionPlan> ClusterAgent::evaluate_insertion(
     const model::Allocation& snapshot, model::ClientId i,
     const alloc::InsertionConstraints& constraints) const {
-  return alloc::assign_distribute(snapshot, i, cluster_, opts_, constraints);
+  return alloc::assign_distribute(model::ResidualView(snapshot), i, cluster_,
+                                  opts_, constraints);
 }
 
 protocol::ClusterImprovement ClusterAgent::improve(

@@ -85,12 +85,6 @@ ClusterTrial AllocState::extract_cluster(ClusterId k) const {
     for (ClientId i : agg.clients) out.clients.push_back(local_id(clients, i));
     led.cost_cache_[lj] = ledger_.cost_cache_[j];
   }
-  if (!ledger_.cand_dirty_[k]) {
-    std::vector<ServerId>& order = led.cand_order_[ClusterId{0}];
-    for (ServerId j : ledger_.cand_order_[k])
-      order.push_back(local_id(servers, j));
-    led.cand_dirty_[ClusterId{0}] = false;
-  }
   led.profit_total_ = ledger_.profit_total_;
   led.repairs_ = ledger_.repairs_;
   led.origin_ = origin.get();
@@ -148,12 +142,6 @@ void AllocState::merge_cluster(ClusterTrial&& trial) {
     view_.hosted_[j] = view.hosted_[lj];
     view_.mark_server_dirty(j);
   }
-  ledger_.cand_dirty_[k] = led.cand_dirty_[ClusterId{0}];
-  std::vector<ServerId>& order = ledger_.cand_order_[k];
-  order.clear();
-  if (!ledger_.cand_dirty_[k])
-    for (ServerId lj : led.cand_order_[ClusterId{0}])
-      order.push_back(servers[lj.index()]);
   ledger_.profit_total_ = led.profit_total_;
   ledger_.repairs_ = led.repairs_;
   audit_merged_cluster(k, led.profit_total_);

@@ -18,9 +18,7 @@ Allocation::Allocation(const Cloud& cloud)
       revenue_cache_(static_cast<std::size_t>(cloud.num_clients()), 0.0),
       cost_cache_(static_cast<std::size_t>(cloud.num_servers()), 0.0),
       client_dirty_(static_cast<std::size_t>(cloud.num_clients()), false),
-      server_dirty_(static_cast<std::size_t>(cloud.num_servers()), false),
-      cand_order_(static_cast<std::size_t>(cloud.num_clusters())),
-      cand_dirty_(static_cast<std::size_t>(cloud.num_clusters()), true) {
+      server_dirty_(static_cast<std::size_t>(cloud.num_servers()), false) {
   // Empty clients earn 0 (cached correctly already); background-pinned
   // servers cost even when empty, so start those dirty.
   for (ServerId j : cloud.server_ids())
@@ -78,7 +76,6 @@ void Allocation::mark_client_dirty(ClientId i) {
 }
 
 void Allocation::mark_server_dirty(ServerId j) {
-  cand_dirty_[cloud_->server(j).cluster] = true;
   if (server_dirty_[j]) return;
   server_dirty_[j] = true;
   dirty_servers_.push_back(j);
@@ -239,50 +236,6 @@ double Allocation::rebased_total() const {
     }
   }
   return total;
-}
-
-const std::vector<ServerId>& Allocation::insertion_candidates(
-    ClusterId k) const {
-  CHECK(k.valid() && k.value() < cloud_->num_clusters());
-  if (cand_dirty_[k]) {
-    auto& order = cand_order_[k];
-    const auto& servers = cloud_->cluster(k).servers;
-    // Decorate-sort-undecorate: the keys are computed once per server
-    // (the marginal-cost key divides), not once per comparison — the
-    // rebuild runs on every probe that touched the cluster, so comparator
-    // cost is the whole cost. The comparisons match the direct form
-    // bitwise: identical expressions, identical ordering.
-    struct CandKey {
-      double rate;
-      double marg;
-      ServerId id;
-    };
-    thread_local std::vector<CandKey> keys;
-    keys.clear();
-    keys.reserve(servers.size());
-    for (ServerId j : servers) {
-      const ServerClass& sc = cloud_->server_class_of(j);
-      keys.push_back(
-          CandKey{free_phi_p(j) * sc.cap_p, sc.marginal_cost(), j});
-    }
-    std::sort(keys.begin(), keys.end(), [](const CandKey& a,
-                                           const CandKey& b) {
-      if (a.rate != b.rate) return a.rate > b.rate;
-      if (a.marg != b.marg) return a.marg < b.marg;
-      // Id DESCENDING: among servers whose score rows are bitwise twins,
-      // the grouped-knapsack DP's strictly-greater update lets the
-      // later-scanned row (= higher id, clusters list servers ascending)
-      // steal tied quanta, so the exact traceback lands on the highest
-      // ids. Ranking twins high-id-first makes the pruned top-K prefix
-      // coincide with the servers the exact solve would pick, which is
-      // what lets certified() treat excluded lower-id twins as redundant.
-      return a.id > b.id;
-    });
-    order.clear();
-    for (const CandKey& key : keys) order.push_back(key.id);
-    cand_dirty_[k] = false;
-  }
-  return cand_order_[k];
 }
 
 int Allocation::num_active_servers() const {

@@ -14,12 +14,8 @@
 // is settled — call model::profit(a) once, then profit_settled() holds and
 // every const accessor (is_assigned, cluster_of, placements,
 // response_time, the server aggregates, active, clients_on, clone) is a
-// pure read. The per-cluster insertion-candidate index is the same kind of
-// const-but-mutating lazy cache: insertion_candidates(k) rebuilds the
-// cluster's order if assign/clear dirtied it, so parallel callers must
-// settle it first (constructing a ResidualView does, for every cluster).
-// Workers that need to mutate or re-price must clone() the settled
-// snapshot and work on the private copy. Parallel call sites
+// pure read. Workers that need to mutate or re-price must clone() the
+// settled snapshot and work on the private copy. Parallel call sites
 // CHECK(profit_settled()) before fanning out.
 #pragma once
 
@@ -87,28 +83,6 @@ class Allocation {
 
   int num_active_servers() const;
 
-  /// Insertion-candidate index: cluster k's servers ordered most-promising
-  /// first for a fresh insertion — residual processing rate
-  /// (free_phi_p * Cp) descending, then marginal power cost (P1 / Cp)
-  /// ascending, then id DESCENDING (deterministic, and aligned with the
-  /// grouped-knapsack DP whose tie resolution favors later-scanned rows;
-  /// see the comment at the comparator). assign/clear dirty the touched
-  /// clusters and the order is rebuilt lazily here, so churn costs nothing
-  /// until the next probe. The order is advisory: Assign_Distribute uses
-  /// it to pick a pruned top-K candidate set and certifies the result
-  /// against a score bound (see alloc/assign_distribute.h), so staleness
-  /// within a probe is harmless.
-  const std::vector<ServerId>& insertion_candidates(ClusterId k) const;
-
-  /// ResidualView-compatible prefix query (see ResidualView::ordered_prefix):
-  /// the Allocation index always materializes the full order, so any prefix
-  /// request returns the whole thing. Lets the pruned selection template in
-  /// assign_distribute grow prefixes against either state type.
-  const std::vector<ServerId>& ordered_prefix(ClusterId k,
-                                              std::size_t /*n*/) const {
-    return insertion_candidates(k);
-  }
-
   /// Deep-copy snapshot/restore used by the local search to evaluate
   /// speculative moves (TurnOFF etc.) and roll back cheaply.
   Allocation clone() const { return *this; }
@@ -174,10 +148,6 @@ class Allocation {
   mutable IdVector<ServerId, bool> server_dirty_;
   mutable double profit_total_ = 0.0;
   mutable std::size_t repairs_ = 0;  ///< since the last drift rebase
-
-  // Lazy per-cluster candidate index (see insertion_candidates).
-  mutable IdVector<ClusterId, std::vector<ServerId>> cand_order_;
-  mutable IdVector<ClusterId, bool> cand_dirty_;
 };
 
 }  // namespace cloudalloc::model

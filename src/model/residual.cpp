@@ -126,12 +126,6 @@ ResidualView::ResidualView(const Allocation& alloc) : cloud_(alloc.cloud_) {
   index_.resize(num_clusters);
   bucket_of_.assign(num_servers, 0);
   dirty_flag_.assign(num_servers, 0);
-  // Settle the allocation's own candidate index so later concurrent reads
-  // of the frozen `alloc` are pure (the view builds its own index lazily
-  // from its — currently bitwise-equal — residual state).
-  for (ClusterId k : cloud_->cluster_ids()) {
-    (void)alloc.insertion_candidates(k);
-  }
 }
 
 ResidualView::ResidualView(const ResidualView& other)
@@ -272,10 +266,10 @@ const std::vector<ServerId>& ResidualView::ordered_prefix(ClusterId k,
     auto& bucket = ix.buckets[static_cast<std::size_t>(b)];
     if ((ix.unsorted >> b) & 1u) {
       if (bucket.size() > 1) {
-        // Bitwise the same keys and ordering as Allocation's full rebuild;
-        // concatenating buckets sorted this way reproduces the exact full
-        // order (see ClusterIndex). Decorate-sort as there: keys once per
-        // server, not once per comparison.
+        // The exact comparator (see the header); concatenating buckets
+        // sorted this way reproduces the exact full order (see
+        // ClusterIndex). Decorate-sort-undecorate: the keys are computed
+        // once per server, not once per comparison.
         struct CandKey {
           double rate;
           double marg;
@@ -291,7 +285,7 @@ const std::vector<ServerId>& ResidualView::ordered_prefix(ClusterId k,
                   [](const CandKey& a, const CandKey& b2) {
                     if (a.rate != b2.rate) return a.rate > b2.rate;
                     if (a.marg != b2.marg) return a.marg < b2.marg;
-                    return a.id > b2.id;  // id DESC — see Allocation
+                    return a.id > b2.id;  // id DESC — see the header
                   });
         for (std::size_t idx = 0; idx < bucket.size(); ++idx) {
           bucket[idx] = keys[idx].id;

@@ -17,16 +17,30 @@
 // not). The reassignment passes lean on this to probe hundreds of clients
 // against one shared view copy without accumulating drift.
 //
-// Candidate index: each cluster carries a hierarchical (bucketed) residual
-// index over its servers, ordered by the exact insertion-candidate
-// comparator (rate = free_phi_p * cap_p DESC, marginal cost ASC, id DESC —
-// the same keys as Allocation::insertion_candidates). Servers hash into
-// rate buckets; a query materializes an exactly-ordered prefix by sorting
-// only the buckets it actually consumes, and a mutation re-buckets only
-// the touched servers — so maintaining and querying the top of the order
-// stays sub-linear in the cluster's server count instead of re-sorting
-// the whole cluster after every move. ordered_prefix() is the primary
-// query; insertion_candidates() is the full-order special case.
+// Candidate index: the view is the only home of the insertion-candidate
+// order Assign_Distribute prunes with. Each cluster carries a hierarchical
+// (bucketed) residual index over its servers, ordered most-promising
+// first for a fresh insertion by the exact comparator
+//
+//   rate = free_phi_p * cap_p DESC, marginal cost (P1 / Cp) ASC, id DESC.
+//
+// Id DESCENDING: among servers whose score rows are bitwise twins, the
+// grouped-knapsack DP's strictly-greater update lets the later-scanned
+// row (= higher id, clusters list servers ascending) steal tied quanta,
+// so the exact traceback lands on the highest ids. Ranking twins
+// high-id-first makes the pruned top-K prefix coincide with the servers
+// the exact solve would pick, which is what lets Assign_Distribute's
+// certificate treat excluded lower-id twins as redundant.
+//
+// Servers hash into rate buckets; a query materializes an exactly-ordered
+// prefix by sorting only the buckets it actually consumes, and a mutation
+// re-buckets only the touched servers — so maintaining and querying the
+// top of the order stays sub-linear in the cluster's server count instead
+// of re-sorting the whole cluster after every move. ordered_prefix() is
+// the primary query; insertion_candidates() is the full-order special
+// case. The order is advisory: Assign_Distribute certifies its pruned
+// result against a score bound, so a stale order costs prune quality,
+// never correctness.
 #pragma once
 
 #include <array>
@@ -39,10 +53,8 @@ namespace cloudalloc::model {
 
 class ResidualView {
  public:
-  /// Captures the allocation's current server aggregates and settles its
-  /// per-cluster insertion-candidate orders (parallel phases snapshot an
-  /// Allocation and then probe it concurrently; settling here keeps those
-  /// reads pure). The view does not observe later mutations of `alloc`;
+  /// Captures the allocation's current server aggregates (a pure read of
+  /// `alloc`). The view does not observe later mutations of `alloc`;
   /// callers keep it in sync via add_client/remove_client or rebuild it.
   explicit ResidualView(const Allocation& alloc);
 
@@ -79,12 +91,9 @@ class ResidualView {
 
   /// The first min(n, cluster size) servers of cluster k in the exact
   /// insertion-candidate order (see the class comment), materialized from
-  /// the bucketed index; the returned vector may be longer than n. Like
-  /// the Allocation index this is a const-but-mutating lazy cache, so
-  /// views must not be shared across threads while probing — copy one per
-  /// worker instead. The order is advisory (pruning with an exact
-  /// fallback); staleness mid-speculation costs prune quality, never
-  /// correctness.
+  /// the bucketed index; the returned vector may be longer than n. This is
+  /// a const-but-mutating lazy cache, so views must not be shared across
+  /// threads while probing — copy one per worker instead.
   const std::vector<ServerId>& ordered_prefix(ClusterId k,
                                               std::size_t n) const;
 

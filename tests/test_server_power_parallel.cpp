@@ -80,7 +80,8 @@ void expect_same_state(AllocState& a, AllocState& b) {
     EXPECT_EQ(a.view().proc_load(j), b.view().proc_load(j));
   }
   for (ClusterId k : a.cloud().cluster_ids())
-    EXPECT_EQ(la.insertion_candidates(k), lb.insertion_candidates(k));
+    EXPECT_EQ(a.view().insertion_candidates(k),
+              b.view().insertion_candidates(k));
   EXPECT_EQ(la.profit_settled(), lb.profit_settled());
   EXPECT_EQ(a.profit(), b.profit());
   EXPECT_TRUE(a.aggregates_consistent());
