@@ -29,6 +29,25 @@ struct Violation {
   std::string describe() const;
 };
 
+/// Eq. 7 on one slice of client i at its current predicted rate: service
+/// rate minus arrivals on each resource's queue. The slice is stable iff
+/// both queues are (queueing::mm1_stable).
+struct SliceStability {
+  double slack_p = 0.0;  ///< processing queue: mu_p - psi * lambda
+  double slack_n = 0.0;  ///< communication queue: mu_n - psi * lambda
+  bool stable_p = false;
+  bool stable_n = false;
+  bool stable() const { return stable_p && stable_n; }
+};
+
+SliceStability slice_stability(const Cloud& cloud, ClientId i,
+                               const Placement& p);
+
+/// True when every slice in `ps` is stable for client i (the
+/// kUnstableQueue test of check_feasibility).
+bool slices_stable(const Cloud& cloud, ClientId i,
+                   const std::vector<Placement>& ps);
+
 /// Audits the allocation against all model constraints; empty means
 /// feasible. `tol` absorbs floating-point slack.
 std::vector<Violation> check_feasibility(const Allocation& alloc,

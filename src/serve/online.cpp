@@ -8,6 +8,7 @@
 #include "alloc/move_engine.h"
 #include "common/check.h"
 #include "common/prof.h"
+#include "model/feasibility.h"
 
 namespace cloudalloc::serve {
 namespace {
@@ -151,25 +152,30 @@ void OnlineServer::apply_event(const workload::ChurnEvent& event,
           offer_to_admission(i, engine, profit_now, stats);
         return;
       }
-      // Serving: vacate exactly, rewrite the rate, then take the cheaper
+      // Serving: vacate exactly, rewrite the rate, then take the better
       // of staying put (identical placements — no traffic redirected, no
       // penalty) and the best re-placement net of its migration charge
-      // against the placements the client actually occupied.
+      // against the placements the client actually occupied. Staying is
+      // only an option while the old slices' queues remain stable at the
+      // new rate (eq. 7). With neither option the client stays vacated
+      // but admitted, for the repair loop to re-place.
       const ClusterId old_cluster = state_->ledger().cluster_of(i);
       std::vector<Placement> old_ps = state_->ledger().placements(i);
       engine.apply(i, std::nullopt, profit_now);
       cloud_->set_lambda_pred(i, event.rate);
       const MoveEngine::Proposal prop = engine.propose_best(i);
+      const bool can_stay = model::slices_stable(*cloud_, i, old_ps);
       const double stay_score =
-          alloc::insertion_delta(state_->view(), i, old_ps);
+          can_stay ? alloc::insertion_delta(state_->view(), i, old_ps)
+                   : AdmissionController::kInfeasible;
       const double move_score =
           prop.plan ? prop.predicted - alloc::migration_penalty(
                                            event_opts, old_ps,
                                            prop.plan->placements)
                     : AdmissionController::kInfeasible;
-      if (prop.plan && move_score > stay_score + 1e-12) {
+      if (prop.plan && (!can_stay || move_score > stay_score + 1e-12)) {
         engine.apply(i, *prop.plan, profit_now);
-      } else {
+      } else if (can_stay) {
         engine.apply(i,
                      alloc::InsertionPlan{old_cluster, std::move(old_ps),
                                           stay_score},
