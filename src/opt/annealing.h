@@ -1,13 +1,9 @@
-// Generic simulated-annealing engine. The paper names SA as the kind of
+// Simulated-annealing schedule. The paper names SA as the kind of
 // stochastic optimizer one would otherwise need for this non-convex MINLP
-// (Section V); bench/tab_stochastic_baselines pits it against the
-// heuristic using a cluster-assignment state space.
+// (Section V); baselines/sa_alloc runs that walk on the allocation-state
+// engine with this schedule, and bench/tab_stochastic_baselines pits it
+// against the heuristic.
 #pragma once
-
-#include <cmath>
-#include <functional>
-
-#include "common/rng.h"
 
 namespace cloudalloc::opt {
 
@@ -17,41 +13,5 @@ struct AnnealingOptions {
   int steps = 10'000;
   double min_temperature = 1e-6;
 };
-
-/// Maximizes a black-box score over states of type State.
-///
-/// `neighbor(state, rng)` proposes a mutated copy; `score(state)` returns
-/// the objective (higher is better). Keeps and returns the best state seen.
-template <typename State>
-State anneal(State initial,
-             const std::function<State(const State&, Rng&)>& neighbor,
-             const std::function<double(const State&)>& score,
-             const AnnealingOptions& opts, Rng& rng,
-             double* best_score_out = nullptr) {
-  State current = initial;
-  double current_score = score(current);
-  State best = current;
-  double best_score = current_score;
-  double temperature = opts.initial_temperature;
-
-  for (int step = 0; step < opts.steps; ++step) {
-    State cand = neighbor(current, rng);
-    const double cand_score = score(cand);
-    const double delta = cand_score - current_score;
-    if (delta >= 0.0 ||
-        rng.uniform() < std::exp(delta / std::max(temperature,
-                                                  opts.min_temperature))) {
-      current = std::move(cand);
-      current_score = cand_score;
-      if (current_score > best_score) {
-        best = current;
-        best_score = current_score;
-      }
-    }
-    temperature *= opts.cooling;
-  }
-  if (best_score_out != nullptr) *best_score_out = best_score;
-  return best;
-}
 
 }  // namespace cloudalloc::opt
