@@ -26,8 +26,8 @@
 // bisection runs can force any width.
 //
 // This header is the only sanctioned home for vector_size types; the
-// repo lint (tools/lint.py, rule raw-intrinsics) flags vector extensions
-// and x86 intrinsics anywhere else outside src/common/.
+// repo analyzer (`python3 -m tools.analyze`, rule raw-intrinsics) flags
+// vector extensions and x86 intrinsics anywhere else outside src/common/.
 #pragma once
 
 #include <atomic>

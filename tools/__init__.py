@@ -1,2 +1,2 @@
 # Marks tools/ as a package so the analyzer runs as `python3 -m
-# tools.analyze` from the repo root (how CI and tools/lint.py invoke it).
+# tools.analyze` from the repo root (how CI invokes it).

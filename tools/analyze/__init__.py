@@ -21,7 +21,7 @@ Components:
                 survive unrelated line drift but not edits to the line.
   __main__.py   CLI: scan, JSON report, baseline gating.
 
-Entry point: `python3 -m tools.analyze` from the repo root (or via the
-tools/lint.py shim). Exit status 1 iff any finding is neither waived
-inline nor present in the committed baseline.
+Entry point: `python3 -m tools.analyze` from the repo root. Exit status
+1 iff any finding is neither waived inline nor present in the committed
+baseline.
 """

@@ -2,7 +2,7 @@
 
 Each rule maps to a bug class this codebase has actually been designed
 against (rule -> bug-class table in DESIGN.md section 16). The first
-five are ports of the historical tools/lint.py rules onto the real
+five are ports of the historical regex linter's rules onto the real
 lexer; the rest encode contracts that earlier PRs stated only in prose.
 
 Path scoping is repo-relative posix. Fixture tests under
@@ -273,6 +273,35 @@ def allocation_copy(source: SourceFile) -> Iterator[Finding]:
                 "clone() outside the documented boundaries (agent "
                 "snapshot, greedy-base construction); new boundaries "
                 "need a waiver with a justification")
+
+
+# A mutable Allocation reference: `model::Allocation&` not preceded by
+# `const` (rvalue references `&&` are a different contract).
+_ALLOC_MUT_REF_RE = re.compile(
+    r"\b(?:(?:cloudalloc::)?model::)?Allocation\s*&(?!&)")
+
+
+@register(
+    "alloc-state-api",
+    "mutable Allocation& parameters on the allocator pass API")
+def alloc_state_api(source: SourceFile) -> Iterator[Finding]:
+    """Every local-search pass runs on model::AllocState, the engine that
+    keeps the ledger and the residual view in lockstep. An entry point
+    taking a mutable Allocation& has to adopt it into an engine, run, and
+    release it again -- the wrapper layer that was deleted so each pass
+    has one path. Read-only `const Allocation&` inputs stay legal."""
+    if posixpath.dirname(source.rel) != "src/alloc" or \
+            not source.rel.endswith(".h"):
+        return
+    for line in source.lines:
+        for m in _ALLOC_MUT_REF_RE.finditer(line.code):
+            if line.code[:m.start()].rstrip().endswith("const"):
+                continue
+            yield Finding(
+                source.rel, line.lineno, "alloc-state-api",
+                "mutable Allocation& in an allocator header; take "
+                "model::AllocState& (the engine that keeps ledger and "
+                "view in sync) instead of an adopt/run/release wrapper")
 
 
 @register(

@@ -1,6 +1,6 @@
 """Comment/string/raw-string-aware C++ line scanner.
 
-The old tools/lint.py stripped comments with per-line regex heuristics
+The old regex linter stripped comments with per-line regex heuristics
 and a "this codebase never mixes code and block comments on one line"
 assumption. This lexer drops the assumptions: it walks the file once,
 character by character, tracking

@@ -9,8 +9,8 @@ Waivers: a finding is waived by a comment on the same physical line,
 
     // analyze: allow(rule-name) -- justification
 
-(the legacy `// lint: allow(rule-name)` spelling from the old lint.py
-is still honored, so existing waivers keep working). The waiver is part
+(the legacy `// lint: allow(rule-name)` spelling from the old regex
+linter is still honored, so existing waivers keep working). The waiver is part
 of the diff and shows up in review; the analyzer records waived findings
 in the JSON report but never fails on them.
 """
