@@ -380,17 +380,14 @@ struct SimWorkloadFixture {
   model::Allocation allocation;
 };
 
-void BM_Sim_EventLoop(benchmark::State& state) {
-  // End-to-end single-thread event loop — the PR's acceptance benchmark:
-  // items/sec here is simulated events/sec, compared against the pre-PR
-  // std::function simulator on the same workload and options.
+void run_sim_event_loop(benchmark::State& state, bool percentiles) {
   SimWorkloadFixture fx(200);
   sim::SimOptions opts;
   opts.horizon = 2000.0;
   opts.seed = 3;
   opts.mode = state.range(0) == 0 ? sim::GpsMode::kIsolated
                                   : sim::GpsMode::kWorkConserving;
-  opts.collect_percentiles = false;
+  opts.collect_percentiles = percentiles;
   std::size_t events = 0;
   for (auto _ : state) {
     const auto report = sim::simulate_allocation(fx.allocation, opts);
@@ -400,17 +397,32 @@ void BM_Sim_EventLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["mode"] = static_cast<double>(state.range(0));
 }
+
+void BM_Sim_EventLoop(benchmark::State& state) {
+  // End-to-end single-thread event loop — the PR's acceptance benchmark:
+  // items/sec here is simulated events/sec, compared against the pre-PR
+  // std::function simulator on the same workload and options. Percentiles
+  // off: the event loop alone.
+  run_sim_event_loop(state, false);
+}
 BENCHMARK(BM_Sim_EventLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_Sim_Replications(benchmark::State& state) {
-  // 8 independent replications fanned over the thread pool; results are
-  // bit-identical at every thread count, so the arg sweep measures pure
-  // scaling. Real time, since the work happens on pool workers.
+void BM_Sim_EventLoopPercentiles(benchmark::State& state) {
+  // The default every caller runs: the event loop plus the kept response
+  // samples and their per-client p50/p95/p99 selection.
+  run_sim_event_loop(state, true);
+}
+BENCHMARK(BM_Sim_EventLoopPercentiles)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+void run_sim_replications(benchmark::State& state, bool percentiles) {
   SimWorkloadFixture fx(50);
   sim::ReplicationOptions opts;
   opts.sim.horizon = 500.0;
   opts.sim.seed = 3;
-  opts.sim.collect_percentiles = false;
+  opts.sim.collect_percentiles = percentiles;
   opts.replications = 8;
   opts.num_threads = static_cast<int>(state.range(0));
   std::size_t events = 0;
@@ -422,7 +434,27 @@ void BM_Sim_Replications(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
+
+void BM_Sim_Replications(benchmark::State& state) {
+  // 8 independent replications fanned over the thread pool; results are
+  // bit-identical at every thread count, so the arg sweep measures pure
+  // scaling. Real time, since the work happens on pool workers.
+  // Percentiles off.
+  run_sim_replications(state, false);
+}
 BENCHMARK(BM_Sim_Replications)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_Sim_ReplicationsPercentiles(benchmark::State& state) {
+  // The same sweep on the default path, tail percentiles on.
+  run_sim_replications(state, true);
+}
+BENCHMARK(BM_Sim_ReplicationsPercentiles)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

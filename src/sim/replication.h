@@ -26,8 +26,9 @@ struct ReplicationOptions {
   /// every replication seed is derived from.
   SimOptions sim;
   int replications = 8;
-  /// Worker threads for the fan-out; <= 1 runs inline. Results do not
-  /// depend on this value.
+  /// Threads that run replications, the calling thread included (it
+  /// helps a pool of min(num_threads, replications) - 1 workers); <= 1
+  /// runs inline. Results do not depend on this value.
   int num_threads = 1;
 };
 
