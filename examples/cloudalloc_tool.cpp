@@ -6,10 +6,10 @@
 //   allocate  --cloud=cloud.json --out=alloc.json
 //             [--method=heuristic|dist|ps|monte-carlo] [--mc-samples=100]
 //             [--threads=N]
-//       Solve and save the allocation. --threads sets the parallel
-//       evaluation engine's worker count for heuristic/dist (1 =
-//       sequential, 0 = hardware concurrency; the result is identical
-//       either way, only faster).
+//       Solve and save the allocation. --threads sets how many threads
+//       (the calling one included) run the parallel evaluation engine for
+//       heuristic/dist (1 = sequential, 0 = hardware concurrency; the
+//       result is identical either way, only faster).
 //   audit     --cloud=cloud.json --alloc=alloc.json
 //       Re-load both, audit feasibility, print the profit breakdown.
 //   simulate  --cloud=cloud.json --alloc=alloc.json [--horizon=1000]
@@ -19,8 +19,9 @@
 //       Run every solver on the cloud and print a profit/time table.
 //   epochs    --cloud=cloud.json [--epochs=8] [--amplitude=0.4]
 //             [--spikes=0.02] [--seed=1]
-//       Drive the decision-epoch controller over a synthetic diurnal
-//       trace and print the per-epoch report.
+//       Drive the decision-epoch loop (serve::OnlineDriver, every client
+//       present) over a synthetic diurnal trace and print the per-epoch
+//       report.
 //
 // Document schemas: docs/FORMAT.md.
 //
@@ -29,6 +30,7 @@
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "alloc/allocator.h"
 #include "baselines/monte_carlo.h"
@@ -36,12 +38,13 @@
 #include "baselines/proportional_share.h"
 #include "baselines/sa_alloc.h"
 #include "common/args.h"
-#include "epoch/controller.h"
 #include "common/table.h"
+#include "epoch/predictor.h"
 #include "model/evaluator.h"
 #include "model/feasibility.h"
 #include "model/report.h"
 #include "model/serialize.h"
+#include "serve/driver.h"
 #include "sim/runner.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
@@ -267,21 +270,23 @@ int cmd_epochs(const Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto trace = workload::make_rate_trace(*cloud, trace_params, seed);
 
-  epoch::Controller controller(*cloud, epoch::HoltPredictor(0.6, 0.3, 1.0));
-  Table table({"epoch", "mode", "drift", "profit", "rounds", "active",
-               "unassigned", "seconds"});
-  auto add_row = [&](const epoch::EpochReport& report) {
-    table.add_row({std::to_string(report.epoch),
-                   report.cold_start ? "cold" : "warm",
-                   Table::num(report.mean_drift, 3),
-                   Table::num(report.profit, 1),
-                   std::to_string(report.rounds_run),
-                   std::to_string(report.active_servers),
-                   std::to_string(report.unassigned_clients),
-                   Table::num(report.wall_seconds, 2)});
+  std::vector<model::ClientId> everyone;
+  for (model::ClientId i : cloud->client_ids()) everyone.push_back(i);
+  serve::OnlineDriver driver(*cloud, everyone,
+                             epoch::HoltPredictor(0.6, 0.3, 1.0));
+  Table table({"epoch", "mode", "demand_changes", "profit", "rounds",
+               "active", "unassigned", "seconds"});
+  auto add_row = [&](const serve::EpochStats& stats) {
+    table.add_row(
+        {std::to_string(stats.epoch), stats.full_resolve ? "full" : "warm",
+         std::to_string(stats.demand_changes), Table::num(stats.profit, 1),
+         std::to_string(stats.rounds_run),
+         std::to_string(driver.server().allocation().num_active_servers()),
+         std::to_string(stats.present - stats.serving),
+         Table::num(stats.wall_ms / 1000.0, 2)});
   };
-  add_row(controller.start());
-  for (const auto& observed : trace) add_row(controller.step(observed));
+  add_row(driver.start());
+  for (const auto& observed : trace) add_row(driver.step({}, observed));
   table.print(std::cout);
   return 0;
 }

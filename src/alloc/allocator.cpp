@@ -25,17 +25,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Pool for the parallel evaluation engine; null when one worker suffices
-/// (ParallelEval then runs everything inline — same results either way).
-/// The pool is the process-wide shared one: online epochs and repeated
-/// solves reuse warm workers instead of spawning and joining threads per
-/// call.
-dist::ThreadPool* make_pool(const AllocatorOptions& options) {
-  const int workers = dist::resolve_workers(options.num_threads);
-  if (workers <= 1) return nullptr;
-  return &dist::ThreadPool::shared(workers);
-}
-
 }  // namespace
 
 ResourceAllocator::ResourceAllocator(AllocatorOptions options)
@@ -43,8 +32,8 @@ ResourceAllocator::ResourceAllocator(AllocatorOptions options)
 
 AllocatorResult ResourceAllocator::run(const model::Cloud& cloud) const {
   Rng rng(options_.seed);
-  dist::ThreadPool* pool = make_pool(options_);
-  const dist::ParallelEval eval(pool);
+  const dist::ParallelEval eval(
+      dist::shared_pool_for(dist::resolve_threads(options_.num_threads)));
   model::Allocation initial = [&] {
     PROF_ZONE("alloc.initial");
     return build_initial_solution(cloud, options_, rng, eval);
@@ -68,8 +57,8 @@ AllocatorReport ResourceAllocator::improve_state(
 AllocatorReport ResourceAllocator::improve_state_impl(
     model::AllocState& state, double initial_profit) const {
   const auto start = Clock::now();
-  dist::ThreadPool* pool = make_pool(options_);
-  const dist::ParallelEval eval(pool);
+  const dist::ParallelEval eval(
+      dist::shared_pool_for(dist::resolve_threads(options_.num_threads)));
   AllocatorReport report;
   report.initial_profit = initial_profit;
 

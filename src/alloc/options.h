@@ -130,8 +130,10 @@ struct AllocatorOptions {
   /// keeps the mask alive for the allocator call.
   const std::vector<std::uint8_t>* insertable = nullptr;
 
-  /// Worker threads for the parallel evaluation engine (multi-start greedy
-  /// starts, reassign candidate scoring, distributed cluster agents).
+  /// Threads that run the parallel evaluation engine (multi-start greedy
+  /// starts, reassign candidate scoring, distributed cluster agents),
+  /// counting the calling thread: it helps with every fan-out, so the
+  /// shared pool holds num_threads - 1 workers (dist::shared_pool_for).
   /// 1 = run everything on the calling thread; 0 = use the hardware
   /// concurrency. The engine's reductions are deterministic: the same seed
   /// produces a bit-identical allocation at every value of num_threads.

@@ -179,13 +179,11 @@ DistributedResult DistributedAllocator::run_shared_memory(
   const alloc::AllocatorOptions& aopts = options_.alloc;
   const int K = cloud.num_clusters();
 
-  // Pool-managed agents: the worker count bounds real parallelism even
-  // when K >> cores; with one worker everything runs inline. The shared
+  // Pool-managed agents: the thread count bounds real parallelism even
+  // when K >> cores; with one thread everything runs inline. The shared
   // pool keeps its workers warm across repeated runs (benches, epochs)
   // instead of spawning and joining threads per call.
-  const int workers = resolve_workers(aopts.num_threads);
-  ThreadPool* pool = workers > 1 ? &ThreadPool::shared(workers) : nullptr;
-  const ParallelEval eval(pool);
+  const ParallelEval eval(shared_pool_for(resolve_threads(aopts.num_threads)));
 
   DistributedReport report;
 
@@ -285,8 +283,7 @@ DistributedResult DistributedAllocator::run_message_passing(
   // sequential allocator; the remote-bid deployment of this phase exists
   // in the protocol — see BidRequest — and is exercised by the protocol
   // tests and the online layer, not by this batch entry point).
-  const int workers = resolve_workers(aopts.num_threads);
-  ThreadPool* pool = workers > 1 ? &ThreadPool::shared(workers) : nullptr;
+  ThreadPool* pool = shared_pool_for(resolve_threads(aopts.num_threads));
   {
     const ParallelEval eval(pool);
     Rng rng(aopts.seed);

@@ -26,7 +26,9 @@ class ParallelEval {
   /// Pool-backed engine; `pool` may be null (inline) and must outlive this.
   explicit ParallelEval(ThreadPool* pool) : pool_(pool) {}
 
-  bool parallel() const { return pool_ != nullptr && pool_->num_workers() > 1; }
+  /// True whenever a pool is attached, even a 1-worker one: the caller
+  /// helps run every fan-out, so one worker is already two executors.
+  bool parallel() const { return pool_ != nullptr; }
   int num_workers() const { return parallel() ? pool_->num_workers() : 1; }
 
   /// Runs fn(0..n-1); one task per index. Blocks until all complete.

@@ -130,12 +130,20 @@ class ThreadPool {
   sync::CondVar sleep_cv_;
 };
 
-/// Maps an options-level thread count to a worker count: 0 means "use the
-/// hardware concurrency", anything else is clamped to at least 1.
-inline int resolve_workers(int num_threads) {
+/// Maps an options-level thread count to the number of executors: 0 means
+/// "use the hardware concurrency", anything else is clamped to at least 1.
+inline int resolve_threads(int num_threads) {
   if (num_threads > 0) return num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+/// The shared pool for fan-outs run by `executors` threads in all. The
+/// caller helps execute its own fan-out, so the pool holds executors - 1
+/// workers: `executors` threads busy, never one more than asked for. Null
+/// for one executor or fewer (the fan-out runs inline).
+inline ThreadPool* shared_pool_for(int executors) {
+  return executors > 1 ? &ThreadPool::shared(executors - 1) : nullptr;
 }
 
 }  // namespace cloudalloc::dist

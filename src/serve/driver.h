@@ -1,11 +1,15 @@
-// OnlineDriver: the online counterpart of epoch::Controller. It owns an
-// OnlineServer plus the same per-client prediction machinery the batch
-// controller uses (epoch::PredictorBank) and closes the loop from
-// measurements to events: each epoch it feeds the observed arrival rates
-// to the bank, turns material prediction drift on present clients into
-// DemandChanged events, merges them with the external churn stream
-// (arrivals and departures come from the outside world; rate drift comes
-// from the predictors), and steps the server.
+// OnlineDriver: the decision-epoch loop of Section III. It owns an
+// OnlineServer plus per-client rate predictors (epoch::PredictorBank) and
+// closes the loop from measurements to events: each epoch it feeds the
+// observed arrival rates to the bank, turns material prediction drift on
+// present clients into DemandChanged events, merges them with the
+// external churn stream (arrivals and departures come from the outside
+// world; rate drift comes from the predictors), and steps the server.
+//
+// A fixed population is the special case: every client present from the
+// start and an empty churn stream, step({}, observed) each epoch. The
+// epoch-adaptation bench (E8), examples/epochs and the tool's `epochs`
+// command run exactly that.
 #pragma once
 
 #include <vector>

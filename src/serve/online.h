@@ -1,10 +1,9 @@
 // OnlineServer: the online serving layer over the per-epoch optimizer.
 //
-// The batch pipeline (epoch::Controller) rebuilds the world and re-solves
-// every epoch. This layer instead keeps ONE long-lived allocation engine
-// (model::AllocState) over a fixed "universe" cloud of every client that
-// could ever show up, and advances it by applying typed churn events
-// between epochs:
+// Rather than rebuilding the world and re-solving every epoch, this layer
+// keeps ONE long-lived allocation engine (model::AllocState) over a fixed
+// "universe" cloud of every client that could ever show up, and advances
+// it by applying typed churn events between epochs:
 //
 //   - ClientArrived: the arrival is priced by the delta pricer (its
 //     marginal profit at the best feasible placement, MoveEngine::

@@ -34,12 +34,11 @@ ReplicationReport run_replications(const model::Allocation& alloc,
     sopts.seed = seeds[static_cast<std::size_t>(r)];
     runs[static_cast<std::size_t>(r)] = simulate_allocation(alloc, sopts);
   };
-  // The caller helps run the fan-out, so a pool of executors - 1 workers
-  // keeps exactly `executors` threads busy: no more than the cores asked
-  // for, and no tail wave from one extra thread sharing them.
-  const int executors = std::min(opts.num_threads, R);
-  if (executors > 1) {
-    dist::ThreadPool::shared(executors - 1).parallel_for(R, run_one);
+  // No more executors than the cores asked for, and no tail wave from one
+  // extra thread sharing them.
+  if (dist::ThreadPool* pool =
+          dist::shared_pool_for(std::min(opts.num_threads, R))) {
+    pool->parallel_for(R, run_one);
   } else {
     for (int r = 0; r < R; ++r) run_one(r);
   }

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/parallel_eval.h"
+
 namespace cloudalloc::dist {
 namespace {
 
@@ -162,6 +164,23 @@ TEST(JobSystem, SharedPoolIsReusedPerWorkerCount) {
   EXPECT_EQ(c.num_workers(), 2);
   std::atomic<int> n{0};
   a.parallel_for(100, [&n](int) { ++n; });
+  EXPECT_EQ(n.load(), 100);
+}
+
+TEST(JobSystem, SharedPoolForCountsTheCallerAsAnExecutor) {
+  EXPECT_EQ(shared_pool_for(0), nullptr);
+  EXPECT_EQ(shared_pool_for(1), nullptr);
+  EXPECT_EQ(shared_pool_for(4), &ThreadPool::shared(3));
+  ThreadPool* one_worker = shared_pool_for(2);
+  ASSERT_NE(one_worker, nullptr);
+  EXPECT_EQ(one_worker->num_workers(), 1);
+  // One worker plus the helping caller is two executors: the engine must
+  // fan out on it, not fall back to the inline path.
+  const ParallelEval eval(one_worker);
+  EXPECT_TRUE(eval.parallel());
+  EXPECT_EQ(eval.num_workers(), 1);
+  std::atomic<int> n{0};
+  eval.for_n(100, [&n](int) { ++n; });
   EXPECT_EQ(n.load(), 100);
 }
 

@@ -1,7 +1,8 @@
 // Tests of the online serving layer: zero-churn bit-identity against the
 // batch solver, admission threshold + hysteresis behavior, thread-count
-// determinism of a whole churn run, migration-cost gating, and the
-// warm-vs-full-resolve profit contract.
+// determinism of a whole churn run, migration-cost gating, the
+// warm-vs-full-resolve profit contract, and the driver as the
+// fixed-population decision-epoch loop.
 #include "serve/online.h"
 
 #include <algorithm>
@@ -12,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include "alloc/allocator.h"
+#include "common/rng.h"
 #include "epoch/predictor.h"
 #include "model/diff.h"
 #include "model/feasibility.h"
 #include "serve/driver.h"
 #include "workload/churn.h"
 #include "workload/scenario.h"
+#include "workload/trace.h"
 
 namespace cloudalloc::serve {
 namespace {
@@ -364,6 +367,173 @@ TEST(OnlineDriverTest, DerivesDemandChangesFromPredictionDrift) {
   // Steady observations afterwards: drift below the gate, no events.
   const EpochStats quiet = driver.step({}, observed);
   EXPECT_EQ(quiet.demand_changes, 0);
+}
+
+// --- the driver as the fixed-population decision-epoch loop --------------
+// Every client present from the start and no external churn: predictor
+// drift is the only event source. This is how the E8 bench,
+// examples/epochs and the tool's `epochs` command run the Section III
+// decision epochs.
+
+OnlineDriver everyone_present(const model::Cloud& cloud,
+                              const epoch::RatePredictor& prototype) {
+  return OnlineDriver(cloud, all_clients(cloud), prototype);
+}
+
+TEST(OnlineDriverTest, StartProducesFeasibleAllocation) {
+  OnlineDriver driver =
+      everyone_present(make_cloud(20), epoch::EwmaPredictor(0.5, 1.0));
+  const EpochStats stats = driver.start();
+  EXPECT_TRUE(stats.full_resolve);
+  EXPECT_GT(stats.profit, 0.0);
+  EXPECT_TRUE(model::is_feasible(driver.server().allocation()));
+}
+
+TEST(OnlineDriverTest, SmallDriftWarmRepairs) {
+  const model::Cloud cloud = make_cloud(20);
+  OnlineDriver driver = everyone_present(cloud, epoch::EwmaPredictor(0.5, 1.0));
+  driver.start();
+  // Observed rates ~= predicted rates: drift far below the 10% gate.
+  std::vector<double> observed;
+  for (const auto& client : cloud.clients())
+    observed.push_back(client.lambda_pred * 1.02);
+  const EpochStats stats = driver.step({}, observed);
+  EXPECT_FALSE(stats.full_resolve);
+  EXPECT_EQ(stats.demand_changes, 0);
+  EXPECT_GT(stats.profit, 0.0);
+  EXPECT_TRUE(model::is_feasible(driver.server().allocation()));
+}
+
+TEST(OnlineDriverTest, LargeDriftForcesAFullResolve) {
+  const model::Cloud cloud = make_cloud(20);
+  OnlineDriver driver = everyone_present(cloud, epoch::EwmaPredictor(1.0, 1.0));
+  driver.start();
+  std::vector<double> observed;
+  for (const auto& client : cloud.clients())
+    observed.push_back(client.lambda_pred * 2.5);  // demand explosion
+  const EpochStats stats = driver.step({}, observed);
+  // Every client drifts, so the churn trigger fires.
+  EXPECT_EQ(stats.demand_changes, cloud.num_clients());
+  EXPECT_TRUE(stats.full_resolve);
+  EXPECT_TRUE(model::is_feasible(driver.server().allocation()));
+}
+
+TEST(OnlineDriverTest, PredictionsUpdateTheCloud) {
+  const model::Cloud base = make_cloud(20);
+  OnlineDriver driver = everyone_present(base, epoch::EwmaPredictor(1.0, 1.0));
+  driver.start();
+  const EpochStats stats =
+      driver.step({}, std::vector<double>(base.clients().size(), 1.7));
+  EXPECT_GT(stats.demand_changes, 0);
+  // alpha = 1 EWMA predicts 1.7 verbatim: a client past the drift gate
+  // is re-priced at exactly that rate, one inside it keeps its old rate.
+  for (const auto& client : driver.server().cloud().clients()) {
+    if (client.lambda_pred == 1.7) continue;
+    EXPECT_LE(std::fabs(1.7 - client.lambda_pred) / client.lambda_pred,
+              DriverOptions{}.demand_change_drift)
+        << "client " << client.id;
+  }
+  // Contracts are untouched.
+  for (ClientId i : base.client_ids())
+    EXPECT_DOUBLE_EQ(driver.server().cloud().client(i).lambda_agreed,
+                     base.client(i).lambda_agreed);
+}
+
+TEST(OnlineDriverTest, DrivesAFullTraceEndToEnd) {
+  // Integration with the workload trace generator: diurnal + spikes.
+  const model::Cloud cloud = make_cloud(20);
+  workload::TraceParams trace_params;
+  trace_params.epochs = 6;
+  trace_params.amplitude = 0.35;
+  trace_params.spike_probability = 0.05;
+  const auto trace = workload::make_rate_trace(cloud, trace_params, 55);
+
+  OnlineDriver driver =
+      everyone_present(cloud, epoch::HoltPredictor(0.6, 0.3, 1.0));
+  driver.start();
+  for (const auto& observed : trace) {
+    const EpochStats stats = driver.step({}, observed);
+    EXPECT_GT(stats.profit, 0.0);
+    ASSERT_TRUE(model::is_feasible(driver.server().allocation()));
+  }
+  EXPECT_EQ(driver.server().history().size(),
+            static_cast<std::size_t>(trace_params.epochs) + 1);
+  // At least one epoch should have repaired warm under this gentle trace.
+  int warm = 0;
+  for (const EpochStats& stats : driver.server().history())
+    if (!stats.full_resolve) ++warm;
+  EXPECT_GT(warm, 0);
+}
+
+TEST(OnlineDriverTest, SurvivesCorruptObservations) {
+  // Prediction-error injection: a broken meter reports NaN, a counter
+  // glitch reports negative, an overflow reports +inf. None of it may
+  // reach the optimizer — predictions stay finite-positive, the epoch
+  // completes, and the allocation stays feasible.
+  const model::Cloud cloud = make_cloud(20);
+  OnlineDriver driver = everyone_present(cloud, epoch::EwmaPredictor(0.5, 1.0));
+  driver.start();
+  std::vector<double> observed(cloud.clients().size(), 1.0);
+  observed[3] = std::numeric_limits<double>::quiet_NaN();
+  observed[7] = -4.0;
+  observed[11] = std::numeric_limits<double>::infinity();
+  const EpochStats stats = driver.step({}, observed);
+  EXPECT_TRUE(std::isfinite(stats.profit));
+  for (const auto& client : driver.server().cloud().clients()) {
+    EXPECT_TRUE(std::isfinite(client.lambda_pred)) << "client " << client.id;
+    EXPECT_GT(client.lambda_pred, 0.0) << "client " << client.id;
+  }
+  EXPECT_TRUE(model::is_feasible(driver.server().allocation()));
+}
+
+TEST(OnlineDriverTest, DecisionsArePinnedUnderSeededDrift) {
+  // Two drivers over the same seeded swinging trace must make the same
+  // full/warm decisions from the same derived events and land on
+  // bitwise-equal profits: the loop is a pure function of its
+  // observations.
+  const model::Cloud cloud = make_cloud(20);
+  workload::TraceParams trace_params;
+  trace_params.epochs = 6;
+  trace_params.amplitude = 0.5;
+  trace_params.noise = 0.15;
+  trace_params.spike_probability = 0.1;
+  const auto trace = workload::make_rate_trace(cloud, trace_params, 202);
+
+  OnlineDriver a = everyone_present(cloud, epoch::HoltPredictor(0.6, 0.3, 1.0));
+  OnlineDriver b = everyone_present(cloud, epoch::HoltPredictor(0.6, 0.3, 1.0));
+  a.start();
+  b.start();
+  int full = 0, warm = 0;
+  for (const auto& observed : trace) {
+    const EpochStats ra = a.step({}, observed);
+    const EpochStats rb = b.step({}, observed);
+    EXPECT_EQ(ra.full_resolve, rb.full_resolve);
+    EXPECT_EQ(ra.demand_changes, rb.demand_changes);
+    EXPECT_EQ(ra.profit, rb.profit);  // bitwise
+    (ra.full_resolve ? full : warm) += 1;
+  }
+  // The swinging trace must exercise BOTH branches, or this pin proves
+  // less than it claims.
+  EXPECT_GT(full, 0);
+  EXPECT_GT(warm, 0);
+}
+
+TEST(OnlineDriverTest, MultiEpochRunStaysFeasibleAndRecorded) {
+  const model::Cloud cloud = make_cloud(20);
+  OnlineDriver driver =
+      everyone_present(cloud, epoch::HoltPredictor(0.5, 0.3, 1.0));
+  driver.start();
+  Rng rng(123);
+  for (int epoch = 1; epoch <= 4; ++epoch) {
+    std::vector<double> observed;
+    for (const auto& client : cloud.clients())
+      observed.push_back(
+          std::max(0.1, client.lambda_agreed * rng.uniform(0.8, 1.2)));
+    const EpochStats stats = driver.step({}, observed);
+    EXPECT_EQ(stats.epoch, epoch);
+    ASSERT_TRUE(model::is_feasible(driver.server().allocation()));
+  }
+  EXPECT_EQ(driver.server().history().size(), 5u);
 }
 
 }  // namespace

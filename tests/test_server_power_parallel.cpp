@@ -31,11 +31,12 @@ using model::ClusterId;
 using model::Placement;
 using model::ServerId;
 
+// Thread counts as the allocator counts them, the helping caller included:
+// 2 runs on a 1-worker pool, the smallest parallel configuration.
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 
-dist::ParallelEval eval_for(int workers) {
-  return dist::ParallelEval(
-      workers > 1 ? &dist::ThreadPool::shared(workers) : nullptr);
+dist::ParallelEval eval_for(int threads) {
+  return dist::ParallelEval(dist::shared_pool_for(threads));
 }
 
 /// The sweep as it ran before cluster trials: both passes over every

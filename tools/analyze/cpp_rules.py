@@ -331,9 +331,13 @@ def float_accumulate(source: SourceFile) -> Iterator[Finding]:
 # layer is <= the including file's layer. Derived from the actual
 # dependency structure (DESIGN.md section 16):
 #
-#   common -> queueing -> model -> opt -> workload
+#   common -> epoch -> queueing -> model -> opt -> workload
 #     -> [exec infra: thread_pool / parallel_eval / mailbox]
-#     -> alloc -> {dist, baselines, epoch, sim} -> multitier -> serve
+#     -> alloc -> {dist, baselines, sim} -> multitier -> serve
+#
+# epoch/ holds only the rate predictors and sits just above common, so
+# the decision-epoch loop stays in serve/ (OnlineDriver): a second epoch
+# loop over the allocator cannot grow back under epoch/.
 #
 # The dist/ directory deliberately spans two layers: the execution
 # infrastructure (ThreadPool, ParallelEval, Mailbox) sits BELOW alloc —
@@ -342,6 +346,7 @@ def float_accumulate(source: SourceFile) -> Iterator[Finding]:
 # that split; everything else is directory-granular.
 DIR_LAYERS = {
     "common": 0,
+    "epoch": 5,
     "queueing": 10,
     "model": 20,
     "opt": 25,
@@ -349,7 +354,6 @@ DIR_LAYERS = {
     "alloc": 40,
     "dist": 50,
     "baselines": 50,
-    "epoch": 50,
     "sim": 50,
     "multitier": 55,
     "serve": 60,
