@@ -9,10 +9,13 @@
 //
 // The profit column doubles as a determinism witness: for a fixed client
 // count it must not move across thread counts (the sharded solve is
-// bit-identical at any shard/thread count). Wall-clock speedup is
-// whatever the host really delivers — the JSON records the machine's
-// core count, and rows running more threads than the host has cores are
-// flagged oversubscribed instead of carrying a misleading speedup.
+// bit-identical at any shard/thread count). So does the merge_repriced
+// work counter (snapshot plans the merge re-priced live), which is exact
+// and therefore comparable across hosts, unlike the wall clock.
+// Wall-clock speedup is whatever the host really delivers — the JSON
+// records the machine's core count, and rows running more threads than
+// the host has cores are flagged oversubscribed instead of carrying a
+// misleading speedup.
 //
 // With --prof=1 (or CLOUDALLOC_PROF=1) the per-phase profiler table for
 // each row is printed and embedded in the JSON report.
@@ -123,6 +126,7 @@ int main(int argc, char** argv) {
           {"speedup_vs_first",
            oversubscribed ? Json(nullptr) : Json(base_ms / ms)},
           {"profit", Json(result.report.final_profit)},
+          {"merge_repriced", Json(result.report.merge_repriced)},
       };
       if (with_prof) {
         row.emplace("phases", phase_table_json());

@@ -34,12 +34,14 @@ AllocatorResult ResourceAllocator::run(const model::Cloud& cloud) const {
   Rng rng(options_.seed);
   const dist::ParallelEval eval(
       dist::shared_pool_for(dist::resolve_threads(options_.num_threads)));
+  int merge_repriced = 0;
   model::Allocation initial = [&] {
     PROF_ZONE("alloc.initial");
-    return build_initial_solution(cloud, options_, rng, eval);
+    return build_initial_solution(cloud, options_, rng, eval, &merge_repriced);
   }();
   model::AllocState state(std::move(initial));
   AllocatorReport report = improve_state_impl(state, state.profit());
+  report.merge_repriced = merge_repriced;
   return AllocatorResult{std::move(state).release(), std::move(report)};
 }
 

@@ -43,6 +43,10 @@ struct AllocatorReport {
   int unassigned_clients = 0;
   int active_servers = 0;
   double wall_seconds = 0.0;
+  /// Sharded initial solution (run() with num_shards > 0): snapshot plans
+  /// that no longer fit at merge time and were re-priced live, summed over
+  /// the starts. Exact, and identical at every thread count.
+  int merge_repriced = 0;
   std::vector<RoundTrace> rounds;
 };
 

@@ -521,32 +521,33 @@ std::optional<InsertionPlan> assign_distribute(
   return build_plan(c, cloud, i, k, G, cands, options, *dp);
 }
 
+ProbeWindow probe_window(ClientId i, int num_clusters, int fanout) {
+  if (fanout <= 0 || fanout >= num_clusters) return {0, num_clusters};
+  const std::uint64_t start =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i.value())) *
+       2654435761ull) %
+      static_cast<std::uint64_t>(num_clusters);
+  return {static_cast<int>(start), fanout};
+}
+
+bool windows_intersect(const ProbeWindow& a, const ProbeWindow& b,
+                       int num_clusters) {
+  if (num_clusters <= 0) return false;
+  const int ab = ((b.start - a.start) % num_clusters + num_clusters) %
+                 num_clusters;
+  const int ba = ((a.start - b.start) % num_clusters + num_clusters) %
+                 num_clusters;
+  return ab < a.width || ba < b.width;
+}
+
 std::optional<InsertionPlan> best_insertion(
     const ResidualView& view, ClientId i, const AllocatorOptions& opts,
     const InsertionConstraints& constraints, InsertionStats* stats) {
   std::optional<InsertionPlan> best;
   const int num_clusters = view.cloud().num_clusters();
-  const int fanout = opts.cluster_fanout;
-  if (fanout > 0 && fanout < num_clusters) {
-    // Deterministic probe window (see AllocatorOptions::cluster_fanout): a
-    // fixed multiplicative hash of the client id picks the window start,
-    // so the probed set depends only on (client, cluster count) — never
-    // on allocation state, threads or shards — and clients spread evenly
-    // over the clusters.
-    const auto kk = static_cast<std::uint64_t>(num_clusters);
-    const std::uint64_t start =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i.value())) *
-         2654435761ull) %
-        kk;
-    for (int t = 0; t < fanout; ++t) {
-      const ClusterId k{static_cast<int>(
-          (start + static_cast<std::uint64_t>(t)) % kk)};
-      auto plan = assign_distribute(view, i, k, opts, constraints, stats);
-      if (plan && (!best || plan->score > best->score)) best = std::move(plan);
-    }
-    return best;
-  }
-  for (ClusterId k : view.cloud().cluster_ids()) {
+  const ProbeWindow window = probe_window(i, num_clusters, opts.cluster_fanout);
+  for (int t = 0; t < window.width; ++t) {
+    const ClusterId k{(window.start + t) % num_clusters};
     auto plan = assign_distribute(view, i, k, opts, constraints, stats);
     if (plan && (!best || plan->score > best->score)) best = std::move(plan);
   }

@@ -78,7 +78,28 @@ std::optional<InsertionPlan> assign_distribute(
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},
     InsertionStats* stats = nullptr);
 
-/// Best insertion across all clusters (nullopt if none fits).
+/// The clusters best_insertion probes for one client: `width` consecutive
+/// clusters from `start` on the ring of cluster ids (wrapping past the
+/// last). The window depends only on (client, cluster count, fanout) —
+/// never on allocation state, threads or shards.
+struct ProbeWindow {
+  int start = 0;
+  int width = 0;
+};
+
+/// Client i's probe window (see AllocatorOptions::cluster_fanout): a fixed
+/// multiplicative hash of the id picks the start, so clients spread evenly
+/// over the ring. A fanout of 0, or one covering the ring, is the whole
+/// ring from cluster 0.
+ProbeWindow probe_window(model::ClientId i, int num_clusters, int fanout);
+
+/// True when windows a and b on a ring of `num_clusters` share a cluster:
+/// (b.start - a.start) mod K < a.width, or (a.start - b.start) mod K <
+/// b.width.
+bool windows_intersect(const ProbeWindow& a, const ProbeWindow& b,
+                       int num_clusters);
+
+/// Best insertion across client i's probe window (nullopt if none fits).
 std::optional<InsertionPlan> best_insertion(
     const model::ResidualView& view, model::ClientId i,
     const AllocatorOptions& opts, const InsertionConstraints& constraints = {},

@@ -39,7 +39,8 @@ Allocation greedy_insert(const Allocation& base,
 
 Allocation build_initial_solution(const Cloud& cloud,
                                   const AllocatorOptions& opts, Rng& rng,
-                                  const dist::ParallelEval& eval) {
+                                  const dist::ParallelEval& eval,
+                                  int* merge_repriced) {
   CHECK(opts.num_initial_solutions >= 1);
   const int starts = opts.num_initial_solutions;
 
@@ -76,8 +77,8 @@ Allocation build_initial_solution(const Cloud& cloud,
     // each pass is.
     for (int iter = 0; iter < starts; ++iter) {
       const auto slot = static_cast<std::size_t>(iter);
-      Allocation cand =
-          sharded_greedy_insert(Allocation(cloud), orders[slot], opts, eval);
+      Allocation cand = sharded_greedy_insert(Allocation(cloud), orders[slot],
+                                              opts, eval, merge_repriced);
       profits[slot] = model::profit(cand);
       cands[slot] = std::move(cand);
     }

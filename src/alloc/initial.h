@@ -28,10 +28,13 @@ model::Allocation greedy_insert(const model::Allocation& base,
 /// pure task that can run concurrently on `eval`; the argmax reduction
 /// (highest profit, lowest start index on ties) is then bit-identical at
 /// any thread count, and identical to the historical sequential loop.
+/// In sharded mode a non-null `merge_repriced` receives the merge
+/// re-prices summed over the starts (see sharded_greedy_insert).
 model::Allocation build_initial_solution(const model::Cloud& cloud,
                                          const AllocatorOptions& opts,
                                          Rng& rng,
-                                         const dist::ParallelEval& eval = {});
+                                         const dist::ParallelEval& eval = {},
+                                         int* merge_repriced = nullptr);
 
 /// Decodes a fixed client->cluster map (assignment[i] = cluster of client
 /// i, or kNoCluster to skip) into an allocation by inserting clients in
