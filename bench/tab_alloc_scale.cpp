@@ -9,9 +9,12 @@
 //
 // The profit column doubles as a determinism witness: for a fixed client
 // count it must not move across thread counts (the sharded solve is
-// bit-identical at any shard/thread count). So does the merge_repriced
-// work counter (snapshot plans the merge re-priced live), which is exact
-// and therefore comparable across hosts, unlike the wall clock.
+// bit-identical at any shard/thread count). So do the work counters —
+// merge_repriced (snapshot plans the merge re-priced live) and
+// dispersion_solved / dispersion_reverted (the local search's convex
+// re-split solves and the re-splits its profit gate undid, summed over
+// rounds) — which are exact and therefore comparable across hosts, unlike
+// the wall clock.
 // Wall-clock speedup is whatever the host really delivers — the JSON
 // records the machine's core count, and rows running more threads than
 // the host has cores are flagged oversubscribed instead of carrying a
@@ -23,6 +26,7 @@
 // Flags: --clients=1000,10000,100000  --threads=1,8  --shards=8
 //        --fanout=4  --rounds=1 (local-search rounds; 0 = greedy only)
 //        --prof=0  --out=BENCH_alloc_scale.json
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -102,6 +106,12 @@ int main(int argc, char** argv) {
       const double ms = sw.seconds() * 1000.0;
       if (threads == thread_counts.front()) base_ms = ms;
       const double rate = static_cast<double>(clients) / (ms / 1000.0);
+      std::int64_t dispersion_solved = 0;
+      std::int64_t dispersion_reverted = 0;
+      for (const alloc::RoundTrace& round : result.report.rounds) {
+        dispersion_solved += round.dispersion_solved;
+        dispersion_reverted += round.dispersion_reverted;
+      }
       // More threads than the host has cores: wall clock measures
       // scheduler churn, not scaling — flag the row and drop the speedup
       // instead of reporting a misleading ratio.
@@ -127,6 +137,10 @@ int main(int argc, char** argv) {
            oversubscribed ? Json(nullptr) : Json(base_ms / ms)},
           {"profit", Json(result.report.final_profit)},
           {"merge_repriced", Json(result.report.merge_repriced)},
+          {"dispersion_solved",
+           Json(static_cast<double>(dispersion_solved))},
+          {"dispersion_reverted",
+           Json(static_cast<double>(dispersion_reverted))},
       };
       if (with_prof) {
         row.emplace("phases", phase_table_json());

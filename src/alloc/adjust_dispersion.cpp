@@ -1,6 +1,7 @@
 #include "alloc/adjust_dispersion.h"
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "alloc/delta_price.h"
@@ -22,18 +23,24 @@ using model::Placement;
 /// psi below this after re-optimization drops the slice entirely.
 constexpr double kDropThreshold = 1e-4;
 
-}  // namespace
+/// Clients per plan chunk: fixed, so chunk boundaries never depend on the
+/// worker count. One solve is tens of microseconds.
+constexpr int kPlanGrain = 8;
 
-double adjust_dispersion_rates(AllocState& state, ClientId i,
-                               const AllocatorOptions& opts) {
-  const Allocation& ledger = state.ledger();
-  if (!ledger.is_assigned(i)) return 0.0;
-  const auto& cloud = state.cloud();
+/// True when client i has a split for the solver to move.
+bool resplittable(const Allocation& ledger, ClientId i) {
+  return ledger.is_assigned(i) && ledger.placements(i).size() >= 2;
+}
+
+/// Client i's re-split, solved on its current slices: the new placements,
+/// or nullopt to keep the split. Reads only i's own slices, their server
+/// classes and the cloud constants. Requires resplittable(ledger, i).
+std::optional<std::vector<Placement>> plan_dispersion(
+    const Allocation& ledger, ClientId i, const AllocatorOptions& opts) {
+  const auto& cloud = ledger.cloud();
   const Client& c = cloud.client(i);
-  const std::vector<Placement> current = ledger.placements(i);
-  if (current.size() < 2) return 0.0;  // nothing to re-split
+  const std::vector<Placement>& current = ledger.placements(i);
 
-  const double before = state.profit();
   const double r_now = ledger.response_time(i);
   const double slope = std::isfinite(r_now) ? cloud.utility_of(i).slope(r_now)
                                             : cloud.utility_of(i).slope(0.0);
@@ -61,7 +68,7 @@ double adjust_dispersion_rates(AllocState& state, ClientId i,
   }
 
   const auto sol = opt::solve_dispersion(items, c.lambda_pred, delay_weight);
-  if (!sol) return 0.0;
+  if (!sol) return std::nullopt;
 
   std::vector<Placement> next;
   double psi_sum = 0.0;
@@ -72,26 +79,69 @@ double adjust_dispersion_rates(AllocState& state, ClientId i,
     psi_sum += p.psi;
     next.push_back(p);
   }
-  if (next.empty() || !near(psi_sum, 1.0, 1e-3)) return 0.0;
+  if (next.empty() || !near(psi_sum, 1.0, 1e-3)) return std::nullopt;
   // Renormalize the rounding left by dropped slices.
   for (Placement& p : next) p.psi /= psi_sum;
+  return next;
+}
 
+/// The single-client step after its plan: settle profit, assign, and revert
+/// unless the gain covers the migration penalty. Returns the realized
+/// delta; counts a revert in `counters`.
+double commit_dispersion(AllocState& state, ClientId i,
+                         const std::optional<std::vector<Placement>>& plan,
+                         const AllocatorOptions& opts,
+                         DispersionCounters* counters) {
+  const double before = state.profit();
+  if (!plan) return 0.0;
+  const Allocation& ledger = state.ledger();
+  const std::vector<Placement> current = ledger.placements(i);
   // A re-split redirects psi between the client's servers — under
   // migration pricing the improvement must cover the redirected traffic.
-  const double penalty = migration_penalty(opts, current, next);
-  state.assign(i, ledger.cluster_of(i), next);
+  const double penalty = migration_penalty(opts, current, *plan);
+  state.assign(i, ledger.cluster_of(i), *plan);
   const double after = state.profit();
   if (after + 1e-12 < before + penalty) {
     state.assign(i, ledger.cluster_of(i), current);
+    if (counters != nullptr) ++counters->reverted;
     return 0.0;
   }
   return after - before;
 }
 
-double adjust_all_dispersions(AllocState& state, const AllocatorOptions& opts) {
-  double delta = 0.0;
+}  // namespace
+
+double adjust_dispersion_rates(AllocState& state, ClientId i,
+                               const AllocatorOptions& opts) {
+  if (!resplittable(state.ledger(), i)) return 0.0;
+  return commit_dispersion(state, i,
+                           plan_dispersion(state.ledger(), i, opts), opts,
+                           nullptr);
+}
+
+double adjust_all_dispersions(AllocState& state, const AllocatorOptions& opts,
+                              const dist::ParallelEval& eval,
+                              DispersionCounters* counters) {
+  const Allocation& ledger = state.ledger();
+  std::vector<ClientId> split;
   for (ClientId i : state.cloud().client_ids())
-    delta += adjust_dispersion_rates(state, i, opts);
+    if (resplittable(ledger, i)) split.push_back(i);
+  const int n = static_cast<int>(split.size());
+
+  // Plans only read the ledger (never its profit caches), and no commit
+  // runs until every plan is in, so the fan-out sees one frozen state.
+  std::vector<std::optional<std::vector<Placement>>> plans(split.size());
+  eval.for_chunks(n, kPlanGrain, [&](int begin, int end) {
+    for (int idx = begin; idx < end; ++idx) {
+      const auto k = static_cast<std::size_t>(idx);
+      plans[k] = plan_dispersion(ledger, split[k], opts);
+    }
+  });
+
+  double delta = 0.0;
+  for (std::size_t k = 0; k < split.size(); ++k)
+    delta += commit_dispersion(state, split[k], plans[k], opts, counters);
+  if (counters != nullptr) counters->solved += n;
   return delta;
 }
 

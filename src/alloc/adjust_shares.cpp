@@ -31,34 +31,41 @@ std::size_t placement_index(const Allocation& alloc, ClientId i, ServerId j) {
   return 0;
 }
 
-}  // namespace
+/// Servers per plan chunk: fixed, so chunk boundaries never depend on the
+/// worker count. One server's two KKT solves take about a microsecond.
+constexpr int kPlanGrain = 64;
 
-double adjust_resource_shares(AllocState& state, ServerId j,
-                              const AllocatorOptions& opts) {
-  const auto& cloud = state.cloud();
-  const Allocation& ledger = state.ledger();
+/// Server j's rebalanced shares, solved over its clients in `clients`
+/// order (the item order, which the solver's sums follow).
+struct SharePlan {
+  std::vector<ClientId> clients;  ///< clients_on(j) when planned
+  bool fits = false;              ///< false: the floors do not fit
+  std::vector<double> phi_p;      ///< by position in `clients`
+  std::vector<double> phi_n;
+};
+
+/// Reads only clients_on(j), the psi of their slices on j, and the cloud
+/// constants — never a share, so other servers' commits leave it valid up
+/// to the order of `clients` (see commit_shares).
+SharePlan plan_shares(const Allocation& ledger, ServerId j,
+                      const AllocatorOptions& opts) {
+  const auto& cloud = ledger.cloud();
   const ServerClass& sc = cloud.server_class_of(j);
-  const std::vector<ClientId> clients = ledger.clients_on(j);  // copy
-  if (clients.empty()) return 0.0;
-
-  // Profit-affecting state before the move (only this server's clients and
-  // this server's cost can change).
-  const double before = state.profit();
+  SharePlan plan;
+  plan.clients = ledger.clients_on(j);
+  if (plan.clients.empty()) return plan;
 
   // Budgets exclude background reservations.
-  const double budget_p =
-      1.0 - cloud.server(j).background.phi_p;
-  const double budget_n =
-      1.0 - cloud.server(j).background.phi_n;
+  const double budget_p = 1.0 - cloud.server(j).background.phi_p;
+  const double budget_n = 1.0 - cloud.server(j).background.phi_n;
 
   const ShareSizing sizing = ShareSizing::from(cloud);
   std::vector<opt::ShareItem> items_p, items_n;
-  items_p.reserve(clients.size());
-  items_n.reserve(clients.size());
-  for (ClientId i : clients) {
+  items_p.reserve(plan.clients.size());
+  items_n.reserve(plan.clients.size());
+  for (ClientId i : plan.clients) {
     const Client& c = cloud.client(i);
-    const Placement& p =
-        ledger.placements(i)[placement_index(ledger, i, j)];
+    const Placement& p = ledger.placements(i)[placement_index(ledger, i, j)];
     // Weight by the slope at the origin (the paper's linear form): using
     // the local slope would zero out clients currently past their
     // zero-crossing and make them unrecoverable.
@@ -100,31 +107,76 @@ double adjust_resource_shares(AllocState& state, ServerId j,
     items_n.push_back(in);
   }
 
-  const auto sol_p = opt::solve_shares(items_p, budget_p);
-  const auto sol_n = opt::solve_shares(items_n, budget_n);
-  if (!sol_p || !sol_n) return 0.0;  // floors do not fit; keep current shares
+  auto sol_p = opt::solve_shares(items_p, budget_p);
+  auto sol_n = opt::solve_shares(items_n, budget_n);
+  if (!sol_p || !sol_n) return plan;  // floors do not fit; keep current shares
+  plan.fits = true;
+  plan.phi_p = std::move(sol_p->phi);
+  plan.phi_n = std::move(sol_n->phi);
+  return plan;
+}
+
+/// The single-server step after its plan: settle profit, then write the
+/// planned shares into each client's slice on j.
+double commit_shares(AllocState& state, ServerId j, const SharePlan& plan,
+                     const AllocatorOptions& opts) {
+  const Allocation& ledger = state.ledger();
+  // An earlier server's commit re-assigns its clients, and assign re-lists
+  // a client last on each of its servers; the solver's sums follow the
+  // item order, so a plan made on another order is made again here.
+  if (plan.clients != ledger.clients_on(j))
+    return commit_shares(state, j, plan_shares(ledger, j, opts), opts);
+  if (plan.clients.empty()) return 0.0;
+
+  // Profit-affecting state before the move (only this server's clients and
+  // this server's cost can change).
+  const double before = state.profit();
+  if (!plan.fits) return 0.0;
 
   // Apply unconditionally: this is the exact optimum of the linearized
   // convex subproblem under the policy ceilings. It may momentarily lower
   // clipped profit (shares shrink toward their caps), but the freed
   // capacity is what lets reassignment serve waiting clients — the outer
   // loop keeps the best allocation it has seen.
-  for (std::size_t idx = 0; idx < clients.size(); ++idx) {
-    const ClientId i = clients[idx];
+  for (std::size_t idx = 0; idx < plan.clients.size(); ++idx) {
+    const ClientId i = plan.clients[idx];
     std::vector<Placement> ps = ledger.placements(i);
     Placement& mine = ps[placement_index(ledger, i, j)];
-    mine.phi_p = sol_p->phi[idx];
-    mine.phi_n = sol_n->phi[idx];
+    mine.phi_p = plan.phi_p[idx];
+    mine.phi_n = plan.phi_n[idx];
     state.assign(i, ledger.cluster_of(i), std::move(ps));
   }
   return state.profit() - before;
 }
 
-double adjust_all_shares(AllocState& state, const AllocatorOptions& opts) {
-  double delta = 0.0;
+}  // namespace
+
+double adjust_resource_shares(AllocState& state, ServerId j,
+                              const AllocatorOptions& opts) {
+  return commit_shares(state, j, plan_shares(state.ledger(), j, opts), opts);
+}
+
+double adjust_all_shares(AllocState& state, const AllocatorOptions& opts,
+                         const dist::ParallelEval& eval) {
+  const Allocation& ledger = state.ledger();
+  // Share moves change no server's client set, so the active set is fixed
+  // for the whole pass.
+  std::vector<ServerId> active;
   for (ServerId j : state.cloud().server_ids())
-    if (state.ledger().active(j))
-      delta += adjust_resource_shares(state, j, opts);
+    if (ledger.active(j)) active.push_back(j);
+  const int n = static_cast<int>(active.size());
+
+  std::vector<SharePlan> plans(active.size());
+  eval.for_chunks(n, kPlanGrain, [&](int begin, int end) {
+    for (int idx = begin; idx < end; ++idx) {
+      const auto k = static_cast<std::size_t>(idx);
+      plans[k] = plan_shares(ledger, active[k], opts);
+    }
+  });
+
+  double delta = 0.0;
+  for (std::size_t k = 0; k < active.size(); ++k)
+    delta += commit_shares(state, active[k], plans[k], opts);
   return delta;
 }
 

@@ -85,13 +85,17 @@ AllocatorReport ResourceAllocator::improve_state_impl(
     trace.round = round;
     if (options_.enable_adjust_shares) {
       PROF_ZONE("alloc.adjust_shares");
-      trace.delta_shares = adjust_all_shares(state, options_);
+      trace.delta_shares = adjust_all_shares(state, options_, eval);
       state.debug_check_invariants();
       trace.truncated = over_budget();
     }
     if (!trace.truncated && options_.enable_adjust_dispersion) {
       PROF_ZONE("alloc.adjust_dispersion");
-      trace.delta_dispersion = adjust_all_dispersions(state, options_);
+      DispersionCounters counters;
+      trace.delta_dispersion =
+          adjust_all_dispersions(state, options_, eval, &counters);
+      trace.dispersion_solved = counters.solved;
+      trace.dispersion_reverted = counters.reverted;
       state.debug_check_invariants();
       trace.truncated = over_budget();
     }

@@ -10,6 +10,7 @@
 //   // result.allocation is feasible; result.report tells the story.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,11 @@ struct RoundTrace {
   double delta_power = 0.0;
   double delta_reassign = 0.0;
   double profit_after = 0.0;
+  /// Work done by this round's Adjust_DispersionRates pass: convex solves
+  /// (clients with two or more slices) and re-splits the profit gate
+  /// reverted. Exact, and identical at every thread count.
+  std::int64_t dispersion_solved = 0;
+  std::int64_t dispersion_reverted = 0;
   /// Work done by this round's TurnON/TurnOFF sweep.
   PowerCounters power;
   /// True when the epoch deadline (options.time_budget_ms) expired mid-

@@ -34,6 +34,14 @@ inline double rel_gain(double before, double now) {
 /// one of them zero); returns the midpoint after `iters` halvings.
 /// Templated so callers' lambdas inline — the solvers evaluate f millions
 /// of times per allocator run and a std::function hop dominated them.
+///
+/// Stops early, with the same result, once the midpoint rounds to an
+/// endpoint. Through the loop f(lo) is the nonzero flo and f(hi) is nonzero
+/// with the other sign, so for a deterministic f a midpoint bitwise equal
+/// to lo takes the lo branch and one equal to hi the hi branch: either way
+/// (lo, hi) is unchanged, every remaining iteration repeats it, and the
+/// final 0.5 * (lo + hi) is this mid. Bitwise, not ==: with a -0.0/+0.0
+/// pair mid and the endpoint compare equal but f may tell them apart.
 template <class F>
 double bisect(const F& f, double lo, double hi, int iters = 80) {
   CHECK(lo <= hi);
@@ -42,8 +50,12 @@ double bisect(const F& f, double lo, double hi, int iters = 80) {
   double fhi = f(hi);
   if (fhi == 0.0) return hi;
   CHECK_MSG((flo < 0.0) != (fhi < 0.0), "bisect: endpoints do not bracket");
+  const auto same = [](double a, double b) {
+    return a == b && std::signbit(a) == std::signbit(b);
+  };
   for (int it = 0; it < iters; ++it) {
     const double mid = 0.5 * (lo + hi);
+    if (same(mid, lo) || same(mid, hi)) return mid;
     const double fm = f(mid);
     if (fm == 0.0) return mid;
     if ((fm < 0.0) == (flo < 0.0)) {

@@ -21,12 +21,21 @@ double marginal(const DispersionItem& it, double lambda, double delay_weight,
          it.lin_cost;
 }
 
+// One item with its marginal at both ends of [0, cap], evaluated once per
+// solve instead of on every psi_at call of the two bisections.
+struct Bracketed {
+  const DispersionItem* it;
+  double m0 = 0.0;
+  double mcap = 0.0;
+};
+
 // psi_j(nu): smallest psi with marginal >= nu, clamped to [0, cap].
-double psi_at(const DispersionItem& it, double lambda, double delay_weight,
+double psi_at(const Bracketed& b, double lambda, double delay_weight,
               double nu) {
+  const DispersionItem& it = *b.it;
   if (it.cap <= 0.0) return 0.0;
-  if (marginal(it, lambda, delay_weight, 0.0) >= nu) return 0.0;
-  if (marginal(it, lambda, delay_weight, it.cap) <= nu) return it.cap;
+  if (b.m0 >= nu) return 0.0;
+  if (b.mcap <= nu) return it.cap;
   return bisect(
       [&](double psi) { return marginal(it, lambda, delay_weight, psi) - nu; },
       0.0, it.cap, 80);
@@ -71,24 +80,38 @@ std::optional<DispersionSolution> solve_dispersion(
       if (remaining <= 1e-12) break;
     }
   } else {
+    std::vector<Bracketed> bracketed;
+    bracketed.reserve(items.size());
+    for (const auto& it : items) {
+      Bracketed b{&it};
+      if (it.cap > 0.0) {
+        b.m0 = marginal(it, lambda, delay_weight, 0.0);
+        b.mcap = marginal(it, lambda, delay_weight, it.cap);
+      }
+      bracketed.push_back(b);
+    }
     auto total = [&](double nu) {
       double s = 0.0;
-      for (const auto& it : items) s += psi_at(it, lambda, delay_weight, nu);
+      for (const auto& b : bracketed) s += psi_at(b, lambda, delay_weight, nu);
       return s;
     };
     double nu_lo = 0.0;
     double nu_hi = 1.0;
-    while (total(nu_hi) < 1.0 && nu_hi < 1e30) nu_hi *= 4.0;
+    double total_hi = total(nu_hi);
+    while (total_hi < 1.0 && nu_hi < 1e30) {
+      nu_hi *= 4.0;
+      total_hi = total(nu_hi);
+    }
     // When caps sum to ~1 exactly, total() may plateau just under 1 and
     // never bracket; pin at the caps and let the renormalization below
     // absorb the residual.
     const double nu =
-        total(nu_hi) < 1.0
+        total_hi < 1.0
             ? nu_hi
             : bisect([&](double v) { return total(v) - 1.0; }, nu_lo, nu_hi,
                      100);
     for (std::size_t j = 0; j < items.size(); ++j)
-      sol.psi[j] = psi_at(items[j], lambda, delay_weight, nu);
+      sol.psi[j] = psi_at(bracketed[j], lambda, delay_weight, nu);
     // Normalize residual rounding so callers see an exact unit split.
     double s = 0.0;
     for (double p : sol.psi) s += p;
