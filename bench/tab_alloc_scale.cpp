@@ -10,11 +10,12 @@
 // The profit column doubles as a determinism witness: for a fixed client
 // count it must not move across thread counts (the sharded solve is
 // bit-identical at any shard/thread count). So do the work counters —
-// merge_repriced (snapshot plans the merge re-priced live) and
+// merge_repriced (snapshot plans the merge re-priced live),
 // dispersion_solved / dispersion_reverted (the local search's convex
-// re-split solves and the re-splits its profit gate undid, summed over
-// rounds) — which are exact and therefore comparable across hosts, unlike
-// the wall clock.
+// re-split solves and the re-splits its profit gate undid) and the
+// TurnON/TurnOFF sweep's counters (alloc::PowerCounters but the
+// thread-dependent speculative re-runs), all summed over rounds — which
+// are exact and therefore comparable across hosts, unlike the wall clock.
 // Wall-clock speedup is whatever the host really delivers — the JSON
 // records the machine's core count, and rows running more threads than
 // the host has cores are flagged oversubscribed instead of carrying a
@@ -32,6 +33,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -108,9 +110,11 @@ int main(int argc, char** argv) {
       const double rate = static_cast<double>(clients) / (ms / 1000.0);
       std::int64_t dispersion_solved = 0;
       std::int64_t dispersion_reverted = 0;
+      alloc::PowerCounters power;
       for (const alloc::RoundTrace& round : result.report.rounds) {
         dispersion_solved += round.dispersion_solved;
         dispersion_reverted += round.dispersion_reverted;
+        power += round.power;
       }
       // More threads than the host has cores: wall clock measures
       // scheduler churn, not scaling — flag the row and drop the speedup
@@ -142,6 +146,17 @@ int main(int argc, char** argv) {
           {"dispersion_reverted",
            Json(static_cast<double>(dispersion_reverted))},
       };
+      for (const auto& [name, value] :
+           {std::pair{"cluster_visits", power.cluster_visits},
+            {"commits", power.commits},
+            {"turn_on_bids", power.turn_on_bids},
+            {"turn_on_rollbacks", power.turn_on_rollbacks},
+            {"turn_on_skipped", power.turn_on_skipped},
+            {"turn_on_bundles", power.turn_on_bundles},
+            {"turn_off_probes", power.turn_off_probes},
+            {"turn_off_screened", power.turn_off_screened},
+            {"turn_off_materialized", power.turn_off_materialized}})
+        row.emplace(name, Json(static_cast<double>(value)));
       if (with_prof) {
         row.emplace("phases", phase_table_json());
         std::cout << "\n-- phases: clients=" << clients

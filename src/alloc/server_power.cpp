@@ -104,6 +104,7 @@ PowerCounters& PowerCounters::operator+=(const PowerCounters& o) {
   commits += o.commits;
   turn_on_bids += o.turn_on_bids;
   turn_on_rollbacks += o.turn_on_rollbacks;
+  turn_on_skipped += o.turn_on_skipped;
   turn_on_bundles += o.turn_on_bundles;
   turn_off_probes += o.turn_off_probes;
   turn_off_screened += o.turn_off_screened;
@@ -117,20 +118,39 @@ double turn_on_servers(AllocState& state, ClusterId k,
   const Cloud& cloud = state.cloud();
   PowerCounters count;
 
-  // One inactive representative per server class present in this cluster.
-  std::map<ServerClassId, ServerId> candidates;
+  // One inactive representative per server class present in this cluster,
+  // in class order.
+  std::map<ServerClassId, ServerId> by_class;
   for (ServerId j : cloud.cluster(k).servers)
     if (!state.ledger().active(j) &&
-        !candidates.count(cloud.server(j).server_class))
-      candidates.emplace(cloud.server(j).server_class, j);
-  if (candidates.empty()) return 0.0;
+        !by_class.count(cloud.server(j).server_class))
+      by_class.emplace(cloud.server(j).server_class, j);
+  if (by_class.empty()) return 0.0;
+  std::vector<ServerId> candidates;
+  for (const auto& [cls, j] : by_class) candidates.push_back(j);
 
+  // The bid loop reads its candidate only through uses_j. A run in which
+  // no plan placed a slice on its candidate (a neutral run) is therefore
+  // the candidate-free trajectory: it never reaches the gate and leaves
+  // `state` untouched. A later candidate that none of its plans touched
+  // would replay it bit for bit and be discarded too, so it is skipped.
+  // `replay` marks the candidates the last neutral run's plans touched
+  // (rolled-back plans included). The skip needs `state` bitwise as that
+  // run saw it, and a gate at least settles it, so reaching the gate drops
+  // the record whether or not the bundle is adopted.
+  std::optional<std::vector<std::uint8_t>> replay;
+  std::vector<std::uint8_t> touched(candidates.size());
+  // Degraded clients are a pure function of the ledger: only an adopt
+  // changes them.
+  std::vector<ClientId> bidders = degraded_clients(state.ledger(), k, opts);
   double total_delta = 0.0;
-  for (const auto& [cls, j] : candidates) {
-    (void)cls;
-    const std::vector<ClientId> bidders =
-        degraded_clients(state.ledger(), k, opts);
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
     if (bidders.empty()) break;
+    if (replay && (*replay)[c] == 0) {
+      ++count.turn_on_skipped;
+      continue;
+    }
+    const ServerId j = candidates[c];
 
     // Full-fidelity trial state (clone-try-swap boundary): bids mutate the
     // branch, probes run on the branch's view, and the whole bundle is
@@ -142,6 +162,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
     // state and judge the bundle at the gate below. Under migration
     // pricing each accepted bid also carries its redirection charge, and
     // the bundle gate must clear the accepted bids' total.
+    std::fill(touched.begin(), touched.end(), std::uint8_t{0});
     bool anyone_used_j = false;
     double bundle_penalty = 0.0;
     for (ClientId i : bidders) {
@@ -156,6 +177,9 @@ double turn_on_servers(AllocState& state, ClusterId k,
         ++count.turn_on_rollbacks;
         continue;
       }
+      for (const model::Placement& p : plan->placements)
+        for (std::size_t o = 0; o < candidates.size(); ++o)
+          if (p.server == candidates[o]) touched[o] = 1;
       const double penalty =
           migration_penalty(opts, old_placements, plan->placements);
       trial.assign(i, k, plan->placements);
@@ -175,8 +199,12 @@ double turn_on_servers(AllocState& state, ClusterId k,
       anyone_used_j = anyone_used_j || uses_j;
       bundle_penalty += penalty;
     }
-    if (!anyone_used_j) continue;
+    if (!anyone_used_j) {
+      if (touched[c] == 0) replay = touched;  // a neutral run
+      continue;
+    }
 
+    replay.reset();
     ++count.turn_on_bundles;
     const double gate_before = state.profit();
     const double gate_after = trial.profit();
@@ -184,6 +212,7 @@ double turn_on_servers(AllocState& state, ClusterId k,
       total_delta += gate_after - gate_before;
       state.adopt(std::move(trial));
       ++count.commits;
+      bidders = degraded_clients(state.ledger(), k, opts);
     }
   }
   if (counters != nullptr) *counters += count;

@@ -7,7 +7,11 @@
 // re-running their full insertion with the candidate available, with the
 // fixed cost P0 treated as sunk during bidding (the paper's decomposition)
 // and charged at the commit gate: the whole bundle is kept only if true
-// profit improved.
+// profit improved. A candidate run in which no plan placed a slice on the
+// candidate is the candidate-independent trajectory; it is discarded, and
+// every later candidate that trajectory never touched is skipped without
+// bidding, since it would replay the same plans and be discarded too
+// (DESIGN.md "Cluster trials and the in-order commit").
 //
 // TurnOFF: active servers are ranked by their approximated utility
 // contribution, lowest first; each candidate's clients are evicted and
@@ -39,8 +43,9 @@ namespace cloudalloc::alloc {
 struct PowerCounters {
   std::int64_t cluster_visits = 0;
   std::int64_t commits = 0;  ///< bundles and shutdowns adopted
-  std::int64_t turn_on_bids = 0;
+  std::int64_t turn_on_bids = 0;  ///< bids run; a skipped candidate runs none
   std::int64_t turn_on_rollbacks = 0;
+  std::int64_t turn_on_skipped = 0;  ///< candidates answered by a neutral run
   std::int64_t turn_on_bundles = 0;  ///< bundles judged at the profit gate
   std::int64_t turn_off_probes = 0;
   std::int64_t turn_off_screened = 0;
